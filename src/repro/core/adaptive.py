@@ -67,13 +67,10 @@ class AdaptiveSharingManager(SharedHeadroomManager):
     def is_adaptive(self, flow_id: int) -> bool:
         return flow_id in self.adaptive_flows
 
-    def _admits(self, flow_id: int, size: float) -> bool:
-        if self._within_reservation(flow_id, size):
-            # Reserved traffic is always served while space remains,
-            # independent of adaptivity — reservations are sacred.
-            return self.holes + self.headroom >= size
-        excess_after = self.occupancy(flow_id) - self.threshold(flow_id) + size
-        if self.is_adaptive(flow_id):
-            return size <= self.holes and excess_after <= self.holes
-        allowance = self.nonadaptive_share * self.holes
-        return size <= allowance and excess_after <= allowance
+    def _excess_room(self, flow_id: int) -> float:
+        # Reserved traffic is always served while space remains,
+        # independent of adaptivity — reservations are sacred — so only
+        # the beyond-reservation room depends on the flow's class.
+        if flow_id in self.adaptive_flows:
+            return self.holes
+        return self.nonadaptive_share * self.holes

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.core.occupancy import BufferManager
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 
 __all__ = ["FixedThresholdManager"]
 
@@ -88,6 +88,53 @@ class FixedThresholdManager(BufferManager):
 
     def _reference_threshold(self, flow_id: int) -> float | None:
         return self.threshold(flow_id)
+
+    # -- flat per-packet path ----------------------------------------------
+    #
+    # try_admit/on_depart inline the base template (predicate, charge,
+    # release) into one frame each; _admits below is the same predicate
+    # for the generic BufferManager template, which the differential
+    # tests drive as the reference.
+
+    def try_admit(self, flow_id: int, size: float) -> bool:
+        """Admit iff the packet fits the buffer and the flow's threshold."""
+        if size <= 0:
+            raise SimulationError(f"packet size must be positive, got {size}")
+        # Passing this capacity test is also the "admitted beyond
+        # capacity" check of the template's charge: the charged total is
+        # exactly the total tested here.
+        total = self._total + size
+        if total > self.capacity:
+            return False
+        occupancy = self._occupancy
+        after = occupancy.get(flow_id, 0.0) + size
+        if not after <= self.thresholds.get(flow_id, self.default_threshold):
+            return False
+        occupancy[flow_id] = after
+        self._total = total
+        if self._sink is not None:
+            self._trace_occupancy_step(flow_id, after - size, after)
+        return True
+
+    def on_depart(self, flow_id: int, size: float) -> None:
+        """Release the buffer space of a departing packet."""
+        occupancy = self._occupancy
+        remaining = occupancy.get(flow_id, 0.0) - size
+        if remaining < -1e-6:
+            raise SimulationError(
+                f"flow {flow_id} occupancy went negative ({remaining}); "
+                "departure without matching admission"
+            )
+        after = 0.0 if remaining < 0.0 else remaining
+        occupancy[flow_id] = after
+        total = self._total - size
+        self._total = 0.0 if total < 0.0 else total
+        if self._sink is not None:
+            self._trace_occupancy_step(flow_id, after + size, after)
+        retired = self._retired
+        if retired and flow_id in retired and remaining <= 1e-9:
+            occupancy.pop(flow_id, None)
+            retired.discard(flow_id)
 
     def _admits(self, flow_id: int, size: float) -> bool:
         if self._total + size > self.capacity:

@@ -72,10 +72,18 @@ class HybridBufferManager:
 
     def try_admit(self, flow_id: int, size: float) -> bool:
         """Admission is decided entirely by the flow's class manager."""
-        return self._manager_for(flow_id).try_admit(flow_id, size)
+        try:
+            manager = self.managers[self.class_of[flow_id]]
+        except KeyError:
+            raise ConfigurationError(f"flow {flow_id} not assigned to any class") from None
+        return manager.try_admit(flow_id, size)
 
     def on_depart(self, flow_id: int, size: float) -> None:
-        self._manager_for(flow_id).on_depart(flow_id, size)
+        try:
+            manager = self.managers[self.class_of[flow_id]]
+        except KeyError:
+            raise ConfigurationError(f"flow {flow_id} not assigned to any class") from None
+        manager.on_depart(flow_id, size)
 
     def occupancy(self, flow_id: int) -> float:
         return self._manager_for(flow_id).occupancy(flow_id)

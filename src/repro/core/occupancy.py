@@ -16,6 +16,10 @@ The contract with the output port is:
 
 Both are O(1) for every policy here, which is the paper's scalability
 argument: admission needs constant state and constant work per packet.
+The base class implements them as a template over the ``_admits`` /
+``_charge`` / ``_on_accept`` / ``_on_release`` hooks.  The paper's own
+policies (fixed thresholds, headroom sharing) override both with flat
+one-frame versions of the same template; the tests hold them to it.
 
 Runtime reprovisioning extends the contract for dynamic-provisioning
 scenarios (churn with reclamation, see :mod:`repro.core.pool`):

@@ -127,14 +127,104 @@ class SharedHeadroomManager(BufferManager):
             )
         )
 
-    def _within_reservation(self, flow_id: int, size: float) -> bool:
-        return self.occupancy(flow_id) + size <= self.threshold(flow_id)
+    # -- flat per-packet path ----------------------------------------------
+    #
+    # try_admit/on_depart inline the base template and the holes/headroom
+    # bookkeeping into one frame each.  _admits/_on_accept/_on_release
+    # below are the same rules for the generic BufferManager template,
+    # which the differential tests drive as the reference.
+
+    def try_admit(self, flow_id: int, size: float) -> bool:
+        """Admit per the Section-3.3 rules; move holes/headroom to match."""
+        if size <= 0:
+            raise SimulationError(f"packet size must be positive, got {size}")
+        occupancy = self._occupancy
+        before = occupancy.get(flow_id, 0.0)
+        after = before + size
+        threshold = self.thresholds.get(flow_id, self.default_threshold)
+        holes = self.holes
+        headroom = self.headroom
+        within = after <= threshold
+        if within:
+            if not holes + headroom >= size:
+                return False
+        else:
+            room = self._excess_room(flow_id)
+            if not (size <= room and before - threshold + size <= room):
+                return False
+        total = self._total + size
+        if total > self.capacity + 1e-6:
+            raise SimulationError(
+                f"policy {type(self).__name__} admitted beyond capacity "
+                f"({total} > {self.capacity})"
+            )
+        occupancy[flow_id] = after
+        self._total = total
+        if within:
+            # Privileged path: holes first, the remainder from headroom.
+            from_holes = size if size < holes else holes
+            holes -= from_holes
+            headroom -= size - from_holes
+            self.headroom = headroom
+        else:
+            holes -= size
+        self.holes = holes
+        # _check_counters' conditions, inlined; it raises with the details.
+        if holes < -1e-6 or headroom < -1e-6 or abs(
+            holes + headroom - (self.capacity - total)
+        ) > 1e-3:
+            self._check_counters()
+        if self._sink is not None:
+            self._trace_headroom()
+            self._trace_occupancy_step(flow_id, after - size, after)
+        return True
+
+    def on_depart(self, flow_id: int, size: float) -> None:
+        """Release a departing packet; freed space refills headroom first."""
+        occupancy = self._occupancy
+        remaining = occupancy.get(flow_id, 0.0) - size
+        if remaining < -1e-6:
+            raise SimulationError(
+                f"flow {flow_id} occupancy went negative ({remaining}); "
+                "departure without matching admission"
+            )
+        after = 0.0 if remaining < 0.0 else remaining
+        occupancy[flow_id] = after
+        total = self._total - size
+        total = 0.0 if total < 0.0 else total
+        self._total = total
+        holes = self.holes
+        headroom = self.headroom + size
+        cap = self.headroom_cap
+        if headroom > cap:
+            holes += headroom - cap
+            headroom = cap
+            self.holes = holes
+        self.headroom = headroom
+        if holes < -1e-6 or headroom < -1e-6 or abs(
+            holes + headroom - (self.capacity - total)
+        ) > 1e-3:
+            self._check_counters()
+        if self._sink is not None:
+            self._trace_headroom()
+            self._trace_occupancy_step(flow_id, after + size, after)
+        retired = self._retired
+        if retired and flow_id in retired and remaining <= 1e-9:
+            occupancy.pop(flow_id, None)
+            retired.discard(flow_id)
+
+    def _excess_room(self, flow_id: int) -> float:
+        """Space a flow beyond its reservation may borrow: the holes."""
+        return self.holes
 
     def _admits(self, flow_id: int, size: float) -> bool:
-        if self._within_reservation(flow_id, size):
+        occupancy = self.occupancy(flow_id)
+        threshold = self.threshold(flow_id)
+        if occupancy + size <= threshold:
             return self.holes + self.headroom >= size
-        excess_after = self.occupancy(flow_id) - self.threshold(flow_id) + size
-        return size <= self.holes and excess_after <= self.holes
+        room = self._excess_room(flow_id)
+        excess_after = occupancy - threshold + size
+        return size <= room and excess_after <= room
 
     def _on_accept(self, flow_id: int, size: float) -> None:
         # Occupancy has already been charged, so "at or below threshold now"

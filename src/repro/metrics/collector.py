@@ -77,18 +77,16 @@ class StatsCollector:
             self._histograms[flow_id] = histogram
         return histogram
 
-    def _stats(self, flow_id: int) -> FlowStats:
-        stats = self.flows.get(flow_id)
-        if stats is None:
-            stats = FlowStats()
-            self.flows[flow_id] = stats
-        return stats
+    # The per-packet hooks below each do their own ``flows`` lookup, so a
+    # packet costs one frame per hook.
 
     def on_offered(self, flow_id: int, size: float, now: float) -> None:
         """A packet reached the port (post-shaper offered load)."""
         if now < self.warmup:
             return
-        stats = self._stats(flow_id)
+        stats = self.flows.get(flow_id)
+        if stats is None:
+            stats = self.flows[flow_id] = FlowStats()
         stats.offered_packets += 1
         stats.offered_bytes += size
 
@@ -96,7 +94,9 @@ class StatsCollector:
         """The buffer manager rejected the packet."""
         if now < self.warmup:
             return
-        stats = self._stats(flow_id)
+        stats = self.flows.get(flow_id)
+        if stats is None:
+            stats = self.flows[flow_id] = FlowStats()
         stats.dropped_packets += 1
         stats.dropped_bytes += size
 
@@ -104,14 +104,19 @@ class StatsCollector:
         """The packet finished transmission ``delay`` seconds after arrival."""
         if now < self.warmup:
             return
-        stats = self._stats(flow_id)
+        stats = self.flows.get(flow_id)
+        if stats is None:
+            stats = self.flows[flow_id] = FlowStats()
         stats.departed_packets += 1
         stats.departed_bytes += size
         stats.delay_sum += delay
         if delay > stats.delay_max:
             stats.delay_max = delay
         if self.delay_histograms:
-            self.delay_histogram(flow_id).record(max(delay, 0.0))
+            histogram = self._histograms.get(flow_id)
+            if histogram is None:
+                histogram = self.delay_histogram(flow_id)
+            histogram.record(0.0 if delay < 0.0 else delay)
 
     # -- aggregation ----------------------------------------------------
 

@@ -122,11 +122,12 @@ class Node:
 
     def receive(self, packet: Packet) -> None:
         """Forward a packet: egress port for transit, sink at the end."""
-        if packet.flow_id not in self.next_hop:
+        try:
+            destination = self.next_hop[packet.flow_id]
+        except KeyError:
             raise ConfigurationError(
                 f"node {self.name}: no route for flow {packet.flow_id}"
-            )
-        destination = self.next_hop[packet.flow_id]
+            ) from None
         if destination is None:
             self.network.sink.record(packet, self.network.sim.now)
             return

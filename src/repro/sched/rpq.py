@@ -61,7 +61,9 @@ class RPQScheduler(Scheduler):
             raise ConfigurationError(
                 f"default class must be >= 0, got {default_class}"
             )
-        self._clock = clock
+        # Not ``_clock``: that name is the trace clock, which
+        # Scheduler.attach_trace replaces (and clears on detach).
+        self._now = clock
         self.delta = float(delta)
         self.class_of = dict(class_of)
         self.default_class = default_class
@@ -71,7 +73,7 @@ class RPQScheduler(Scheduler):
         self._bytes = 0.0
 
     def _epoch(self) -> int:
-        return int(math.floor(self._clock() / self.delta))
+        return int(math.floor(self._now() / self.delta))
 
     def _class_for(self, flow_id: int) -> int:
         klass = self.class_of.get(flow_id, self.default_class)

@@ -75,9 +75,11 @@ class WFQScheduler(Scheduler):
         for key, weight in weights.items():
             if weight <= 0:
                 raise ConfigurationError(f"weight for key {key} must be positive, got {weight}")
-        self._clock = clock
+        # The simulation clock has its own name: ``_clock`` belongs to the
+        # trace (see Scheduler.attach_trace), which may detach it.
+        self._now = clock
         self._rate = link_rate
-        self._classify = classifier or (lambda packet: packet.flow_id)
+        self._classify = classifier
         self._flows = {key: _FlowState(float(w)) for key, w in weights.items()}
         self._hol: list[tuple[float, int, int, Packet]] = []
         self._vtime = 0.0
@@ -93,20 +95,29 @@ class WFQScheduler(Scheduler):
         return self._vtime
 
     def _advance_vtime(self) -> None:
-        now = self._clock()
+        now = self._now()
         if now > self._last_update:
             if self._active_weight > 0:
                 self._vtime += (now - self._last_update) * self._rate / self._active_weight
             self._last_update = now
 
+    # enqueue/dequeue inline _advance_vtime so a packet costs one frame
+    # per call.
+
     def enqueue(self, packet: Packet) -> None:
-        key = self._classify(packet)
+        classify = self._classify
+        key = packet.flow_id if classify is None else classify(packet)
         flow = self._flows.get(key)
         if flow is None:
             raise ConfigurationError(f"packet classified to unknown WFQ key {key}")
-        self._advance_vtime()
-        start = max(self._vtime, flow.last_finish)
-        finish = start + packet.size / flow.weight
+        now = self._now()
+        if now > self._last_update:
+            if self._active_weight > 0:
+                self._vtime += (now - self._last_update) * self._rate / self._active_weight
+            self._last_update = now
+        vtime = self._vtime
+        last_finish = flow.last_finish
+        finish = (last_finish if last_finish > vtime else vtime) + packet.size / flow.weight
         flow.last_finish = finish
         was_empty = not flow.queue
         flow.queue.append(packet)
@@ -130,17 +141,20 @@ class WFQScheduler(Scheduler):
     def dequeue(self) -> Packet | None:
         if not self._hol:
             return None
-        self._advance_vtime()
+        now = self._now()
+        if now > self._last_update:
+            if self._active_weight > 0:
+                self._vtime += (now - self._last_update) * self._rate / self._active_weight
+            self._last_update = now
         _finish, _seq, key, packet = heapq.heappop(self._hol)
         flow = self._flows[key]
-        if not flow.queue or flow.queue[0] is not packet:
+        queue = flow.queue
+        if not queue or queue[0] is not packet:
             raise SimulationError("WFQ head-of-line heap out of sync with flow queue")
-        flow.queue.popleft()
+        queue.popleft()
         flow.finishes.popleft()
-        if flow.queue:
-            heapq.heappush(
-                self._hol, (flow.finishes[0], flow.queue[0].seq, key, flow.queue[0])
-            )
+        if queue:
+            heapq.heappush(self._hol, (flow.finishes[0], queue[0].seq, key, queue[0]))
         else:
             self._active_weight -= flow.weight
             if self._active_weight < 1e-9:
@@ -156,7 +170,7 @@ class WFQScheduler(Scheduler):
         # slate: without this, finish stamps from the previous busy period
         # would penalise (or credit) flows across idle gaps.
         self._vtime = 0.0
-        self._last_update = self._clock()
+        self._last_update = self._now()
         self._active_weight = 0.0
         for flow in self._flows.values():
             flow.last_finish = 0.0

@@ -106,12 +106,6 @@ class Simulator:
         "_sink",
     )
 
-    #: Smallest pending population worth compacting; below this lazy
-    #: deletion is cheaper than a rebuild.  (Kept here for backward
-    #: compatibility; the authoritative constant lives in
-    #: :data:`repro.sim.equeue.COMPACT_MIN_PENDING`.)
-    COMPACT_MIN_HEAP = 64
-
     def __init__(self, equeue: "str | EventQueue | None" = None) -> None:
         self.now: float = 0.0
         self._equeue = resolve_equeue(equeue)

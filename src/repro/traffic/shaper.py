@@ -76,24 +76,31 @@ class LeakyBucketShaper:
 
     def receive(self, packet: Packet) -> None:
         """Accept a packet from the source; forward now or later."""
-        if packet.size > self.sigma:
+        size = packet.size
+        if size > self.sigma:
             raise SimulationError(
-                f"packet of {packet.size} bytes can never conform to sigma={self.sigma}"
+                f"packet of {size} bytes can never conform to sigma={self.sigma}"
             )
-        self._refill()
-        if not self._queue and self._tokens + _EPSILON_BYTES >= packet.size:
-            self._tokens = max(self._tokens - packet.size, 0.0)
+        now = self.sim.now
+        tokens = self._tokens
+        if now > self._last_update:
+            tokens = min(self.sigma, tokens + self.rho * (now - self._last_update))
+            self._tokens = tokens
+            self._last_update = now
+        queue = self._queue
+        if not queue and tokens + _EPSILON_BYTES >= size:
+            self._tokens = max(tokens - size, 0.0)
             self.shaped_packets += 1
             self.sink.receive(packet)
             return
         self.delayed_packets += 1
-        self._queue.append(packet)
-        self._schedule_release()
+        queue.append(packet)
+        if not self._release_pending:
+            self._schedule_release()
 
     def _schedule_release(self) -> None:
-        if self._release_pending or not self._queue:
-            return
-        self._refill()
+        # Callers guarantee a non-empty queue, no pending release, and
+        # tokens already refilled to the current instant.
         deficit = self._queue[0].size - self._tokens
         delay = max(deficit, 0.0) / self.rho
         self._release_pending = True
@@ -109,7 +116,8 @@ class LeakyBucketShaper:
             self._tokens = max(self._tokens - packet.size, 0.0)
             self.shaped_packets += 1
             self.sink.receive(packet)
-        self._schedule_release()
+        if self._queue and not self._release_pending:
+            self._schedule_release()
 
 
 class TokenBucketMeter:

@@ -162,23 +162,24 @@ class OnOffSource:
         """
         self.until = self.sim.now
 
-    def _stopped(self) -> bool:
-        return self.until is not None and self.sim.now >= self.until
-
     def _begin_burst(self) -> None:
-        if self._stopped():
+        until = self.until
+        if until is not None and self.sim.now >= until:
             return
         self._emit(self._next_burst_packets())
 
     def _emit(self, remaining: int) -> None:
-        if self._stopped():
+        sim = self.sim
+        now = sim.now
+        until = self.until
+        if until is not None and now >= until:
             return
-        packet = Packet.acquire(self.flow_id, self.packet_size, self.sim.now)
+        packet = Packet.acquire(self.flow_id, self.packet_size, now)
         self.emitted_packets += 1
         self.emitted_bytes += packet.size
         self.sink.receive(packet)
         if remaining > 1:
-            self.sim.schedule_fast(self._spacing, self._emit, remaining - 1)
+            sim.schedule_fast(self._spacing, self._emit, remaining - 1)
         else:
             # The last packet of the burst "occupies" one spacing at peak
             # rate before the OFF period starts, so the ON-state rate is
@@ -186,7 +187,7 @@ class OnOffSource:
             off = self._spacing
             if self._mean_off > 0:
                 off += self._next_off()
-            self.sim.schedule_fast(off, self._begin_burst)
+            sim.schedule_fast(off, self._begin_burst)
 
 
 class CBRSource:

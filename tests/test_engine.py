@@ -167,7 +167,7 @@ class TestHeapCompaction:
         assert order == list(range(150))
 
     def test_small_heaps_skip_compaction(self):
-        # Below COMPACT_MIN_HEAP lazy deletion is cheaper than a rebuild.
+        # Below equeue.COMPACT_MIN_PENDING lazy deletion is cheaper than a rebuild.
         sim = Simulator()
         for _ in range(10):
             sim.schedule(1.0, lambda: None).cancel()

@@ -6,18 +6,27 @@ Every manager must preserve, for any admissible operation sequence:
 * total occupancy never exceeds capacity,
 * rejected packets change nothing,
 * (sharing) holes + headroom + occupancy == capacity, headroom <= H.
+
+The flat per-packet managers (fixed threshold, shared headroom, adaptive,
+hybrid) are also checked against the generic ``BufferManager`` template
+on a twin instance: same decisions, same counters, same trace.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.adaptive import AdaptiveSharingManager
 from repro.core.dynamic_threshold import DynamicThresholdManager
 from repro.core.fixed_threshold import FixedThresholdManager
 from repro.core.fred import FREDManager
+from repro.core.hybrid import HybridBufferManager
+from repro.core.occupancy import BufferManager
 from repro.core.red import REDManager
 from repro.core.shared_headroom import SharedHeadroomManager
 from repro.core.tail_drop import TailDropManager
+from repro.obs.sink import RingSink
 
 # An operation is (flow_id, size, depart_fraction); we admit, and later
 # depart queued packets driven by the fraction.
@@ -203,3 +212,133 @@ class TestFREDInvariants:
             lambda: clock_value[0], minq=500.0, maxq=4_000.0,
         )
         drive(manager, ops)
+
+
+# -- flat per-packet path vs. the generic template --------------------------
+
+# Multiples of 250 bytes as well as arbitrary floats, so that occupancies
+# land exactly on thresholds and sizes exactly on the holes: the
+# admission rules differ only at those boundaries.
+def quantised(max_units):
+    return st.one_of(
+        st.integers(min_value=0, max_value=max_units).map(lambda units: 250.0 * units),
+        st.floats(min_value=0.0, max_value=250.0 * max_units, allow_nan=False),
+    )
+
+
+# (kind, flow_id, value): admit `value` bytes, depart the oldest queued
+# packet, reprovision the flow to threshold `value`, or retire the flow.
+manager_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("admit", "admit", "admit", "depart", "depart", "reprovision", "retire")),
+        st.integers(min_value=0, max_value=4),
+        quantised(8).filter(lambda value: value >= 1.0),
+    ),
+    min_size=1,
+    max_size=150,
+)
+
+quantised_thresholds = st.dictionaries(
+    st.integers(min_value=0, max_value=4), quantised(20), max_size=5
+)
+
+FLAT_MANAGERS = {
+    "fixed": lambda thresholds, headroom, share: FixedThresholdManager(
+        6_000.0, thresholds
+    ),
+    "shared": lambda thresholds, headroom, share: SharedHeadroomManager(
+        6_000.0, thresholds, headroom
+    ),
+    "adaptive": lambda thresholds, headroom, share: AdaptiveSharingManager(
+        6_000.0, thresholds, headroom, adaptive_flows=(0, 2), nonadaptive_share=share
+    ),
+    "hybrid": lambda thresholds, headroom, share: HybridBufferManager(
+        {0: 0, 1: 0, 2: 1, 3: 1, 4: 1},
+        [
+            FixedThresholdManager(3_000.0, thresholds),
+            SharedHeadroomManager(3_000.0, thresholds, headroom / 2),
+        ],
+    ),
+}
+
+
+def _parts(manager):
+    if isinstance(manager, HybridBufferManager):
+        return manager.managers
+    return [manager]
+
+
+def template_admit(manager, flow_id, size):
+    """Admission through the base-class template: _admits, _charge, hooks."""
+    if isinstance(manager, HybridBufferManager):
+        manager = manager._manager_for(flow_id)
+    return BufferManager.try_admit(manager, flow_id, size)
+
+
+def template_depart(manager, flow_id, size):
+    if isinstance(manager, HybridBufferManager):
+        manager = manager._manager_for(flow_id)
+    BufferManager.on_depart(manager, flow_id, size)
+
+
+def manager_state(manager):
+    return [
+        (
+            dict(part._occupancy),
+            part._total,
+            getattr(part, "holes", None),
+            getattr(part, "headroom", None),
+            dict(part.thresholds),
+            sorted(part._retired or ()),
+        )
+        for part in _parts(manager)
+    ]
+
+
+class TestFlatPathMatchesTemplate:
+    @pytest.mark.parametrize("kind", sorted(FLAT_MANAGERS))
+    @given(
+        ops=manager_ops,
+        thresholds=quantised_thresholds,
+        headroom=quantised(28),
+        share=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_identical_decisions_counters_and_trace(
+        self, kind, ops, thresholds, headroom, share
+    ):
+        flat = FLAT_MANAGERS[kind](thresholds, headroom, share)
+        reference = FLAT_MANAGERS[kind](thresholds, headroom, share)
+        now = [0.0]
+        clock = lambda: now[0]  # noqa: E731
+        flat_sink, reference_sink = RingSink(), RingSink()
+        flat.attach_trace(flat_sink, clock)
+        reference.attach_trace(reference_sink, clock)
+        queued = []  # (flow_id, size) admitted by both, oldest first
+        for op, flow_id, value in ops:
+            now[0] += 0.001
+            if op == "admit":
+                decision = flat.try_admit(flow_id, value)
+                assert decision == template_admit(reference, flow_id, value)
+                if decision:
+                    queued.append((flow_id, value))
+            elif op == "depart":
+                if not queued:
+                    continue
+                gone_flow, gone_size = queued.pop(0)
+                flat.on_depart(gone_flow, gone_size)
+                template_depart(reference, gone_flow, gone_size)
+            elif op == "reprovision":
+                flat.reprovision(flow_id, value)
+                reference.reprovision(flow_id, value)
+            else:
+                flat.retire(flow_id)
+                reference.retire(flow_id)
+            assert manager_state(flat) == manager_state(reference)
+        while queued:
+            now[0] += 0.001
+            gone_flow, gone_size = queued.pop(0)
+            flat.on_depart(gone_flow, gone_size)
+            template_depart(reference, gone_flow, gone_size)
+            assert manager_state(flat) == manager_state(reference)
+        assert flat_sink.events() == reference_sink.events()

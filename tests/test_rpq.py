@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.sink import RingSink
 from repro.sched.rpq import RPQScheduler
 from repro.sim.packet import Packet
 
@@ -133,3 +134,15 @@ class TestAccounting:
                 break
             served.append(packet)
         assert sorted(p.seq for p in served) == sorted(p.seq for p in sent)
+
+
+class TestTraceDetach:
+    def test_enqueue_after_detach_uses_simulation_clock(self):
+        # The epoch clock is not the trace clock: detaching the trace
+        # must leave bucket selection working.
+        clock, rpq = make_rpq()
+        rpq.attach_trace(RingSink(), clock)
+        rpq.attach_trace(None, None)
+        clock.now = 2.5
+        rpq.enqueue(pkt(1))
+        assert rpq.dequeue().flow_id == 1

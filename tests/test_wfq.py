@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.core.tail_drop import TailDropManager
 from repro.errors import ConfigurationError, SimulationError
+from repro.obs.sink import RingSink
 from repro.sched.wfq import WFQScheduler
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
+from repro.sim.port import OutputPort
 
 
 def make_wfq(weights, rate=1000.0):
@@ -141,3 +144,36 @@ class TestClassifier:
         wfq.enqueue(pkt(7))  # class 1
         assert wfq.queue_length(0) == 1
         assert wfq.queue_length(1) == 1
+
+
+class TestTraceDetach:
+    """The simulation clock survives a trace attach/detach cycle.
+
+    WFQ used to keep its virtual-time clock in ``_clock``, the attribute
+    ``Scheduler.attach_trace`` owns; detaching set it to None and the
+    next enqueue raised TypeError.
+    """
+
+    def test_scheduler_enqueues_after_detach(self):
+        sim, wfq = make_wfq({1: 500.0})
+        wfq.attach_trace(RingSink(), lambda: sim.now)
+        wfq.attach_trace(None, None)
+        wfq.enqueue(pkt(1))
+        assert wfq.dequeue() is not None
+
+    def test_port_runs_after_detach(self):
+        sim = Simulator()
+        wfq = WFQScheduler(lambda: sim.now, 1000.0, {1: 500.0, 2: 500.0})
+        port = OutputPort(sim, 1000.0, wfq, TailDropManager(10_000.0))
+        sink = RingSink()
+        port.attach_trace(sink)
+        sim.schedule(0.0, port.receive, pkt(1))
+        sim.run(until=0.5)
+        port.attach_trace(None)
+        for i in range(6):
+            sim.schedule(0.01 * i, port.receive, pkt(1 + i % 2))
+        sim.run()
+        assert port.transmitted_packets == 7
+        assert len(wfq) == 0
+        # Only the traced first packet reached the sink.
+        assert sum(1 for event in sink.events() if event.kind == "enqueue") == 1
