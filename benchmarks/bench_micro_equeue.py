@@ -1,82 +1,17 @@
-"""Micro-benchmarks: event-queue backends head to head.
+"""Micro-benchmark: the batched source pipeline.
 
-The calendar queue exists for exactly one reason — integer-factor wins
-on large, churning pending populations — and these benchmarks keep both
-backends honest on the workloads where that claim lives: bulk preload
-plus cancel-heavy drain (the curated suite's ``equeue-churn`` /
-``equeue-calendar`` pair, in miniature) and the batched source pipeline
-that rides on the same refactor.
+A block-generated, closed-form-shaped on-off source replayed into a
+null sink — the whole per-flow source/shaper chain of
+``repro.traffic.batched`` in one event per packet.  The engine's own
+push, pop, cancel and compaction costs are measured in
+``bench_micro_engine.py``.
 """
 
 import numpy as np
-import pytest
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.traffic.batched import BatchedOnOffSource
 from repro.units import mbps
-
-CHURN_EVENTS = 50_000
-
-
-def _noop() -> None:
-    return None
-
-
-def _churn_workload(backend: str, n_events: int):
-    """Pre-built entries + handles, mirroring the suite's setup hook."""
-    sim = Simulator(equeue=backend)
-    rng = np.random.default_rng(23)
-    times = rng.uniform(0.0, 60.0, n_events).tolist()
-    entries = []
-    handles = []
-    for i, t in enumerate(times):
-        if i % 4:
-            entries.append((t, i + 1, _noop, (), None))
-        else:
-            handle = Event(t, _noop, (), sim)
-            entries.append((t, i + 1, _noop, (), handle))
-            handles.append(handle)
-    return sim, entries, handles
-
-
-def _drain(sim, entries, handles) -> int:
-    push = sim.equeue.raw_push()
-    for entry in entries:
-        push(entry)
-    for handle in handles:
-        handle.cancel()
-    sim.run()
-    return sim.events_processed
-
-
-@pytest.mark.parametrize("backend", ["heap", "calendar"])
-def test_equeue_churn(benchmark, backend):
-    """Bulk preload, 25% cancelled, full drain — the backends' razor."""
-
-    def run() -> int:
-        return _drain(*_churn_workload(backend, CHURN_EVENTS))
-
-    processed = benchmark(run)
-    assert processed == CHURN_EVENTS * 3 // 4
-
-
-@pytest.mark.parametrize("backend", ["heap", "calendar"])
-def test_equeue_event_chain(benchmark, backend):
-    """Sequential self-scheduling: the calendar's worst case must not sink."""
-
-    def run() -> int:
-        sim = Simulator(equeue=backend)
-
-        def hop():
-            if sim.events_processed < 20_000:
-                sim.schedule_fast(0.001, hop)
-
-        sim.schedule(0.0, hop)
-        sim.run()
-        return sim.events_processed
-
-    processed = benchmark(run)
-    assert processed >= 20_000
 
 
 def test_batched_pipeline_replay(benchmark):

@@ -151,17 +151,10 @@ def measure_case(case: BenchCase, trials: int = 3) -> CaseResult:
     events = 0
     packets: int | None = None
     for trial in range(trials):
-        # Per-trial setup (when the case declares one) runs before the
-        # clock starts: identical-for-every-variant preparation must not
-        # dilute the measured work.
-        state = None if case.setup is None else case.setup(dict(case.params))
         # Benchmark timing is the one place wall-clock reads belong.
         start = time.perf_counter()  # repro: noqa RPR101 — bench timing
         if case.kind == MACRO:
             trial_events, trial_packets = _run_macro(case)
-        elif case.setup is not None:
-            trial_events = runner(dict(case.params), state)
-            trial_packets = None
         else:
             trial_events = runner(dict(case.params))
             trial_packets = None

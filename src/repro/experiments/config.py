@@ -5,6 +5,10 @@ while in pure Python, so the figure functions default to a scaled-down
 *fast* mode that preserves every qualitative shape.  Set the environment
 variable ``REPRO_FULL=1`` (or pass ``fast=False``) to run the
 paper-faithful configuration.
+
+This module is also the only place in ``repro`` that reads the process
+environment (lint rule RPR111): every ``REPRO_*`` knob has one reader
+here, and the layers that honour a knob call that reader.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ __all__ = [
     "campaign_cache_setting",
     "campaign_telemetry_setting",
     "campaign_monitor_enabled",
-    "equeue_backend_setting",
+    "BATCHED_ENV_VAR",
+    "batched_pipeline_enabled",
 ]
 
 
@@ -70,19 +75,6 @@ def campaign_telemetry_setting() -> str | None:
     return raw
 
 
-def equeue_backend_setting() -> str | None:
-    """The ``REPRO_EQUEUE`` backend name, or ``None`` for the default.
-
-    The engine itself resolves the variable
-    (:func:`repro.sim.equeue.resolve_equeue`); this helper exists for the
-    experiment layers — bench, campaign, CLI — that want to *report*
-    which backend an environment-configured run will use without
-    constructing a simulator.
-    """
-    raw = os.environ.get("REPRO_EQUEUE", "").strip()
-    return raw or None
-
-
 def campaign_monitor_enabled() -> bool:
     """True when ``REPRO_MONITOR`` asks campaign jobs to self-verify.
 
@@ -94,6 +86,16 @@ def campaign_monitor_enabled() -> bool:
     byte-identical, like telemetry).
     """
     return os.environ.get("REPRO_MONITOR", "").strip() not in ("", "0", "false", "no")
+
+
+#: Environment switch for the batched single-port pipeline
+#: (:mod:`repro.traffic.batched`).
+BATCHED_ENV_VAR = "REPRO_BATCHED"
+
+
+def batched_pipeline_enabled() -> bool:
+    """True when ``REPRO_BATCHED`` asks for the block pipeline."""
+    return os.environ.get(BATCHED_ENV_VAR, "").strip() not in ("", "0", "false", "no")
 
 
 @dataclass(frozen=True)

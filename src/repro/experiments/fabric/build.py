@@ -33,6 +33,7 @@ from repro.analysis.delay import worst_case_fifo_delay
 from repro.core.pool import BufferPool
 from repro.core.thresholds import flow_threshold
 from repro.errors import ConfigurationError
+from repro.experiments.config import batched_pipeline_enabled
 from repro.experiments.fabric.churn import ChurnReport, FlowChurnProcess, HopState
 from repro.experiments.fabric.scenario import DYNAMIC_FLOW_BASE, NetworkScenario
 from repro.experiments.runner import ScenarioResult
@@ -43,7 +44,7 @@ from repro.obs.monitor import MonitorReport
 from repro.obs.sink import TeeSink
 from repro.sim.engine import Simulator
 from repro.sim.port import OutputPort
-from repro.traffic.batched import BatchedOnOffSource, batched_pipeline_enabled
+from repro.traffic.batched import BatchedOnOffSource
 from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import OnOffSource
 
@@ -85,10 +86,9 @@ class FabricResult:
 
     scenario: NetworkScenario
     events_processed: int
-    #: Engine execution stats for telemetry: which event-queue backend
-    #: ran the simulation and its end-of-run lazy-deletion counters.
-    #: Execution detail, not measurement — never serialized into records.
-    equeue: str = "heap"
+    #: Engine execution stats for telemetry: the end-of-run lazy-deletion
+    #: counters.  Execution detail, not measurement — never serialized
+    #: into records.
     cancelled_pending: int = 0
     compactions: int = 0
     links: dict[str, LinkResult] = field(default_factory=dict)
@@ -258,7 +258,7 @@ def _run_single_port(
     flows = tuple(routed.spec for routed in scenario.flows)
     warmup = scenario.effective_warmup
 
-    sim = Simulator(equeue=scenario.equeue)
+    sim = Simulator()
     build: SchemeBuild = build_scheme(
         sim,
         node.scheme,
@@ -354,7 +354,6 @@ def _run_single_port(
         queue_buffers=build.queue_buffers,
         events_processed=sim.events_processed,
         collector=collector,
-        equeue=sim.equeue_backend,
         cancelled_pending=sim.cancelled_pending,
         compactions=sim.compactions,
     )
@@ -365,7 +364,6 @@ def _run_single_port(
     return FabricResult(
         scenario=scenario,
         events_processed=sim.events_processed,
-        equeue=sim.equeue_backend,
         cancelled_pending=sim.cancelled_pending,
         compactions=sim.compactions,
         links={
@@ -393,7 +391,7 @@ def _run_network(
 ) -> FabricResult:
     """The general path: materialise the topology and route flows."""
     warmup = scenario.effective_warmup
-    sim = Simulator(equeue=scenario.equeue)
+    sim = Simulator()
     delivery_collector = StatsCollector(
         warmup=warmup, delay_histograms=scenario.delay_histograms
     )
@@ -565,7 +563,6 @@ def _run_network(
     return FabricResult(
         scenario=scenario,
         events_processed=sim.events_processed,
-        equeue=sim.equeue_backend,
         cancelled_pending=sim.cancelled_pending,
         compactions=sim.compactions,
         links=links,

@@ -18,11 +18,14 @@ rests on (see ``docs/lint.md`` for the rationale and examples):
   the port layers (``repro.sim``, ``repro.net``,
   ``repro.experiments.fabric``); everything else goes through the
   scenario fabric, which enforces the recycling/labelling invariants.
-* **RPR110** — event-queue encapsulation: ``heapq`` is imported only by
-  the engine backends (``repro.sim.equeue``) and the packet-level
-  schedulers (``repro.sched``); simulation events are scheduled through
-  the :class:`~repro.sim.equeue.EventQueue` interface so backends stay
-  interchangeable.
+* **RPR110** — event-heap encapsulation: ``heapq`` is imported only by
+  the engine (``repro.sim.engine``) and the packet-level schedulers
+  (``repro.sched``); simulation events are scheduled through the
+  :class:`~repro.sim.engine.Simulator`, which owns the one event heap.
+* **RPR111** — one environment reader: ``os.environ`` (and
+  ``os.getenv``/``putenv``/``unsetenv``) is touched only by
+  :mod:`repro.experiments.config`, so every ``REPRO_*`` knob has one
+  reader and no layer changes behaviour behind its caller's back.
 
 The checks are deliberately syntactic: they over-approximate in known,
 documented ways and rely on ``# repro: noqa`` for the rare deliberate
@@ -46,7 +49,8 @@ __all__ = [
     "SimTimeRule",
     "HotPathRule",
     "PortEncapsulationRule",
-    "EventQueueEncapsulationRule",
+    "HeapqEncapsulationRule",
+    "EnvironmentAccessRule",
 ]
 
 
@@ -491,24 +495,24 @@ class PortEncapsulationRule(Rule):
 
 
 @register
-class EventQueueEncapsulationRule(Rule):
-    """RPR110: heapq stays behind the EventQueue interface."""
+class HeapqEncapsulationRule(Rule):
+    """RPR110: heapq stays inside the engine and the schedulers."""
 
     id = "RPR110"
-    name = "equeue-encapsulation"
+    name = "heapq-encapsulation"
     description = (
-        "no heapq use outside repro.sim.equeue and the packet-level "
+        "no heapq use outside repro.sim.engine and the packet-level "
         "schedulers in repro.sched; schedule simulation events through "
-        "the Simulator / EventQueue interface"
+        "the Simulator"
     )
 
     #: Path-component sequences allowed to use heapq directly: the
-    #: event-queue backends themselves, and the packet-level priority
-    #: queues inside the schedulers (WFQ/SCFQ/RPQ order *packets* by
-    #: virtual finish time — a different data structure with different
-    #: invariants from the event calendar).
+    #: engine's event heap, and the packet-level priority queues inside
+    #: the schedulers (WFQ/SCFQ/RPQ order *packets* by virtual finish
+    #: time — a different data structure with different invariants from
+    #: the event heap).
     _ALLOWED = (
-        ("repro", "sim", "equeue.py"),
+        ("repro", "sim", "engine.py"),
         ("repro", "sched"),
     )
 
@@ -526,9 +530,8 @@ class EventQueueEncapsulationRule(Rule):
     def _finding(self, ctx: LintContext, node: ast.AST) -> Finding:
         return ctx.finding(
             self.id,
-            "heapq import outside the event-queue backends; schedule "
-            "through Simulator / repro.sim.equeue so every engine "
-            "backend sees the same event stream",
+            "heapq import outside the engine; schedule through "
+            "Simulator so every event goes through its one heap",
             node,
         )
 
@@ -539,4 +542,43 @@ class EventQueueEncapsulationRule(Rule):
             parts[i : i + len(scoped)] == scoped
             for scoped in cls._ALLOWED
             for i in range(len(parts))
+        )
+
+
+@register
+class EnvironmentAccessRule(Rule):
+    """RPR111: the process environment is read in one module only."""
+
+    id = "RPR111"
+    name = "environment-access"
+    description = (
+        "no os.environ / os.getenv outside repro.experiments.config; add "
+        "a reader there and call it"
+    )
+
+    #: The one module allowed to touch the process environment.
+    _ALLOWED = ("repro", "experiments", "config.py")
+
+    #: ``os`` attributes that read or write the environment.
+    _ENV_NAMES = frozenset({"environ", "environb", "getenv", "putenv", "unsetenv"})
+
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        parts = tuple(part for part in ctx.path.replace("\\", "/").split("/") if part)
+        if parts[-len(self._ALLOWED):] == self._ALLOWED:
+            return
+        for node in ctx.select(ast.Attribute):
+            if node.attr in self._ENV_NAMES and _dotted_name(node.value) == "os":
+                yield self._finding(ctx, node, f"os.{node.attr}")
+        for node in ctx.select(ast.ImportFrom):
+            if node.module == "os":
+                for alias in node.names:
+                    if alias.name in self._ENV_NAMES:
+                        yield self._finding(ctx, node, f"os.{alias.name}")
+
+    def _finding(self, ctx: LintContext, node: ast.AST, name: str) -> Finding:
+        return ctx.finding(
+            self.id,
+            f"{name} outside repro.experiments.config; read the environment "
+            "through a reader there so every REPRO_* knob has one place",
+            node,
         )

@@ -64,9 +64,6 @@ class JobTelemetry:
         cache_hit: True when the record came from the result cache.
         worker: OS process id that produced the record; distinguishes
             pool workers from the coordinating process.
-        equeue: event-queue backend that executed the job (``"heap"`` /
-            ``"calendar"``); empty for cache hits, where no engine ran
-            and the original run's backend is unknown.
         cancelled_pending: cancelled events still queued at end of run.
         compactions: queue rebuilds performed to purge cancelled events.
 
@@ -80,7 +77,6 @@ class JobTelemetry:
     events: int
     cache_hit: bool
     worker: int
-    equeue: str = ""
     cancelled_pending: int = 0
     compactions: int = 0
 
@@ -92,7 +88,6 @@ class JobTelemetry:
             "events": int(self.events),
             "cache_hit": bool(self.cache_hit),
             "worker": int(self.worker),
-            "equeue": str(self.equeue),
             "cancelled_pending": int(self.cancelled_pending),
             "compactions": int(self.compactions),
         }
@@ -111,7 +106,6 @@ class JobTelemetry:
             events=int(raw["events"]),
             cache_hit=bool(raw["cache_hit"]),
             worker=int(raw["worker"]),
-            equeue=str(raw.get("equeue", "")),
             cancelled_pending=int(raw.get("cancelled_pending", 0)),
             compactions=int(raw.get("compactions", 0)),
         )
@@ -126,8 +120,9 @@ class CampaignReport:
         "executed",
         "total_wall_time",
         "total_events",
+        "total_cancelled_pending",
+        "total_compactions",
         "_worker_histograms",
-        "_backends",
     )
 
     def __init__(self) -> None:
@@ -136,11 +131,11 @@ class CampaignReport:
         self.executed = 0
         self.total_wall_time = 0.0
         self.total_events = 0
+        #: Engine counters summed over executed jobs (a cache hit runs
+        #: no engine and reports zero).
+        self.total_cancelled_pending = 0
+        self.total_compactions = 0
         self._worker_histograms: dict[int, LogHistogram] = {}
-        #: Per-backend engine accounting over *executed* jobs (cache
-        #: hits report no backend): backend name -> dict of jobs /
-        #: events / wall_time / cancelled_pending / compactions sums.
-        self._backends: dict[str, dict] = {}
 
     @staticmethod
     def from_telemetry(entries: Iterable[JobTelemetry]) -> "CampaignReport":
@@ -157,6 +152,8 @@ class CampaignReport:
             self.executed += 1
         self.total_wall_time += entry.wall_time
         self.total_events += entry.events
+        self.total_cancelled_pending += entry.cancelled_pending
+        self.total_compactions += entry.compactions
         histogram = self._worker_histograms.get(entry.worker)
         if histogram is None:
             histogram = LogHistogram(
@@ -164,33 +161,6 @@ class CampaignReport:
             )
             self._worker_histograms[entry.worker] = histogram
         histogram.record(max(entry.wall_time, 0.0))
-        if entry.equeue:
-            stats = self._backends.get(entry.equeue)
-            if stats is None:
-                stats = {
-                    "jobs": 0,
-                    "events": 0,
-                    "wall_time": 0.0,
-                    "cancelled_pending": 0,
-                    "compactions": 0,
-                }
-                self._backends[entry.equeue] = stats
-            stats["jobs"] += 1
-            stats["events"] += entry.events
-            stats["wall_time"] += entry.wall_time
-            stats["cancelled_pending"] += entry.cancelled_pending
-            stats["compactions"] += entry.compactions
-
-    @property
-    def backends(self) -> dict[str, dict]:
-        """Per-backend engine accounting, keyed by backend name.
-
-        Covers executed jobs only (a cache hit runs no engine).  Each
-        value sums ``jobs``, ``events``, ``wall_time``,
-        ``cancelled_pending`` and ``compactions`` over the jobs that
-        backend executed.
-        """
-        return {name: dict(stats) for name, stats in sorted(self._backends.items())}
 
     @property
     def workers(self) -> list[int]:
@@ -221,11 +191,12 @@ class CampaignReport:
             "hit_fraction": self.hit_fraction,
             "total_wall_time": self.total_wall_time,
             "total_events": self.total_events,
+            "total_cancelled_pending": self.total_cancelled_pending,
+            "total_compactions": self.total_compactions,
             "workers": self.workers,
             "wall_time_p50": histogram.percentile(50.0),
             "wall_time_p95": histogram.percentile(95.0),
             "wall_time_max": histogram.max_value,
-            "backends": self.backends,
         }
 
     def render(self) -> str:
@@ -241,14 +212,9 @@ class CampaignReport:
             f"wall time p50   : {histogram.percentile(50.0):.4f} s",
             f"wall time p95   : {histogram.percentile(95.0):.4f} s",
             f"wall time max   : {histogram.max_value:.4f} s",
+            f"engine          : {self.total_compactions} compaction(s), "
+            f"{self.total_cancelled_pending} cancelled pending",
         ]
-        for name, stats in self.backends.items():
-            lines.append(
-                f"engine [{name}] : {stats['jobs']} job(s), "
-                f"{stats['events']} events in {stats['wall_time']:.3f} s, "
-                f"{stats['compactions']} compaction(s), "
-                f"{stats['cancelled_pending']} cancelled pending"
-            )
         return "\n".join(lines)
 
 

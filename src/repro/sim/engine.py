@@ -1,22 +1,15 @@
 """Discrete-event simulation engine.
 
 A deliberately small, fast core: the :class:`Simulator` owns the clock,
-the shared sequence counter and the scheduling API, and delegates event
-*storage* to a pluggable :class:`~repro.sim.equeue.EventQueue` backend.
-Entries are ``(time, sequence, callback, args, handle)`` tuples: the
-sequence number breaks ties so that events scheduled for the same
-instant fire in scheduling order, which makes runs deterministic for a
-given seed — whichever backend holds them.  The ``handle`` slot is an
-:class:`Event` for cancellable events and ``None`` for events scheduled
-through the :meth:`Simulator.schedule_fast` hot path — the per-packet
-traffic of a simulation never cancels, so it never pays for the
-allocation of a cancellation handle.
-
-Two backends ship (see :mod:`repro.sim.equeue`): the default lazy-delete
-binary heap, and an opt-in calendar queue that wins by integer factors
-on large, churning pending populations.  Select one with
-``Simulator(equeue="calendar")`` or the ``REPRO_EQUEUE`` environment
-variable; both produce byte-identical measurement records.
+a shared sequence counter and a lazy-delete binary heap of pending
+entries.  Entries are ``(time, sequence, callback, args, handle)``
+tuples: the sequence number breaks ties so that events scheduled for the
+same instant fire in scheduling order, which makes runs deterministic
+for a given seed.  The ``handle`` slot is an :class:`Event` for
+cancellable events and ``None`` for events scheduled through the
+:meth:`Simulator.schedule_fast` hot path — the per-packet traffic of a
+simulation never cancels, so it never pays for the allocation of a
+cancellation handle.
 
 Components (sources, shapers, ports) hold a reference to the
 :class:`Simulator` and schedule their own callbacks; there is no global
@@ -25,13 +18,19 @@ registry.  The engine knows nothing about packets or networking.
 
 from __future__ import annotations
 
+from functools import partial
+from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.equeue import EventQueue, resolve_equeue
+from repro.obs.events import HeapCompactEvent
 
-__all__ = ["Event", "Simulator"]
+__all__ = ["COMPACT_MIN_PENDING", "Event", "Simulator"]
+
+#: Smallest heap worth compacting; below this lazy deletion is cheaper
+#: than a rebuild.
+COMPACT_MIN_PENDING = 64
 
 
 class Event:
@@ -39,7 +38,7 @@ class Event:
 
     Returned by :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`;
     the only supported operation is :meth:`cancel`.  Cancelled events stay
-    queued but are skipped when reached (lazy deletion); the backend
+    queued but are skipped when reached (lazy deletion); the simulator
     purges them wholesale once they dominate the pending population.
     Events scheduled via :meth:`Simulator.schedule_fast` have no handle
     and cannot be cancelled.
@@ -83,14 +82,9 @@ class Simulator:
 
     Usage::
 
-        sim = Simulator()                      # default binary heap
-        sim = Simulator(equeue="calendar")     # calendar-queue backend
+        sim = Simulator()
         sim.schedule(1.0, callback, arg1, arg2)
         sim.run(until=10.0)
-
-    ``equeue`` accepts a backend name (``"heap"``/``"calendar"``), a
-    ready :class:`~repro.sim.equeue.EventQueue` instance, or ``None`` to
-    consult ``REPRO_EQUEUE`` and default to the heap.
 
     Hot paths that never cancel (per-packet emissions, transmission
     completions) should use :meth:`schedule_fast`, which skips the
@@ -99,31 +93,30 @@ class Simulator:
 
     __slots__ = (
         "now",
-        "_equeue",
+        "_heap",
         "_push",
         "_seq",
         "_events_processed",
+        "_cancelled",
+        "_compactions",
         "_sink",
     )
 
-    def __init__(self, equeue: "str | EventQueue | None" = None) -> None:
+    #: The event structure, reported in run provenance.  The binary heap
+    #: is the only one.
+    equeue_backend = "heap"
+
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self._equeue = resolve_equeue(equeue)
-        self._equeue.bind(self)
-        self._push = self._equeue.raw_push()
+        self._heap: list[tuple] = []
+        # A C-level callable for the scheduling hot path.  Compaction
+        # rebuilds the list in place, so this alias never goes stale.
+        self._push = partial(heappush, self._heap)
         self._seq: int = 0
         self._events_processed: int = 0
+        self._cancelled: int = 0
+        self._compactions: int = 0
         self._sink = None
-
-    @property
-    def equeue(self) -> EventQueue:
-        """The live event-queue backend (counters, tuning knobs)."""
-        return self._equeue
-
-    @property
-    def equeue_backend(self) -> str:
-        """Registry name of the active backend (``"heap"``/``"calendar"``)."""
-        return self._equeue.backend
 
     @property
     def events_processed(self) -> int:
@@ -133,24 +126,23 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of events still queued, including cancelled ones."""
-        return len(self._equeue)
+        return len(self._heap)
 
     @property
     def cancelled_pending(self) -> int:
         """Cancelled events still occupying queue slots."""
-        return self._equeue.cancelled_pending
+        return self._cancelled
 
     @property
     def compactions(self) -> int:
         """Times the queue was rebuilt to purge cancelled events."""
-        return self._equeue.compactions
+        return self._compactions
 
     def attach_trace(self, sink) -> None:
-        """Emit engine events (compactions, bucket resizes) into ``sink``.
+        """Emit engine events (heap compactions) into ``sink``.
 
         Pass ``None`` to detach.  Untraced simulators pay a single
-        ``is not None`` check per housekeeping action and nothing per
-        event.
+        ``is not None`` check per compaction and nothing per event.
         """
         self._sink = sink
 
@@ -158,45 +150,62 @@ class Simulator:
         """Expose the engine's counters through a metrics registry.
 
         Callback gauges sample the live attributes at snapshot time, so
-        the event loop keeps its plain-int hot path.  ``sim.equeue``
-        reports the backend as its registry index (0 = heap,
-        1 = calendar — the order of
-        :data:`repro.sim.equeue.EQUEUE_BACKENDS`); backend-specific
-        gauges (calendar bucket width/resizes) register alongside.
+        the event loop keeps its plain-int hot path.
         """
-        from repro.sim.equeue import EQUEUE_BACKENDS
-
-        equeue = self._equeue
-        backend_index = float(list(EQUEUE_BACKENDS).index(equeue.backend))
         registry.gauge_callback(
             "sim.events_processed", lambda: self._events_processed, **labels
         )
-        registry.gauge_callback("sim.pending", lambda: len(equeue), **labels)
+        registry.gauge_callback("sim.pending", lambda: len(self._heap), **labels)
         registry.gauge_callback(
-            "sim.cancelled_pending", lambda: equeue.cancelled_pending, **labels
+            "sim.cancelled_pending", lambda: self._cancelled, **labels
         )
-        registry.gauge_callback("sim.compactions", lambda: equeue.compactions, **labels)
+        registry.gauge_callback("sim.compactions", lambda: self._compactions, **labels)
         registry.gauge_callback("sim.now", lambda: self.now, **labels)
-        registry.gauge_callback("sim.equeue", lambda: backend_index, **labels)
-        equeue.register_metrics(registry, **labels)
 
     def _note_cancelled(self) -> None:
         """Bookkeeping hook called by :meth:`Event.cancel`.
 
         Cancel-heavy workloads (shapers, adaptive managers) would
-        otherwise grow the queue without bound: lazily-deleted events are
-        only reclaimed when their time is reached.  The backend compacts
-        once more than half of a non-trivial population is dead weight.
+        otherwise grow the heap without bound: lazily-deleted events are
+        only reclaimed when their time is reached.  Compact once more
+        than half of a non-trivial heap is dead weight.
         """
-        self._equeue.note_cancelled()
+        self._cancelled += 1
+        heap_size = len(self._heap)
+        if heap_size >= COMPACT_MIN_PENDING and self._cancelled * 2 > heap_size:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop cancelled entries and re-heapify the survivors.
+
+        The ``(time, seq)`` keys of live entries are untouched, so firing
+        order is exactly what lazy deletion would have produced.  The
+        list is rebuilt in place: :meth:`run` and the cached push
+        callable hold aliases to it and a cancel can arrive from a
+        callback mid-loop.
+        """
+        heap = self._heap
+        before = len(heap)
+        heap[:] = [entry for entry in heap if entry[4] is None or not entry[4].cancelled]
+        heapify(heap)
+        self._cancelled = 0
+        self._compactions += 1
+        if self._sink is not None:
+            self._sink.emit(
+                HeapCompactEvent(time=self.now, removed=before - len(heap), remaining=len(heap))
+            )
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
-        if time < self.now:
+        """Schedule ``fn(*args)`` at absolute simulation time ``time``.
+
+        A NaN ``time`` is rejected along with past times: it compares
+        false against everything, so the heap would fire it out of order.
+        """
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self.now}"
             )
@@ -215,7 +224,7 @@ class Simulator:
         whichever entry point a component uses.
         """
         time = self.now + delay
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self.now}"
             )
@@ -227,16 +236,21 @@ class Simulator:
 
         Returns ``False`` when the queue is empty, ``True`` otherwise.
         """
-        entry = self._equeue.pop_live()
-        if entry is None:
-            return False
-        event = entry[4]
-        if event is not None:
-            event.fired = True
-        self.now = entry[0]
-        self._events_processed += 1
-        entry[2](*entry[3])
-        return True
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
+            event = entry[4]
+            if event is not None:
+                if event.cancelled:
+                    if self._cancelled:
+                        self._cancelled -= 1
+                    continue
+                event.fired = True
+            self.now = entry[0]
+            self._events_processed += 1
+            entry[2](*entry[3])
+            return True
+        return False
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run the event loop.
@@ -249,14 +263,35 @@ class Simulator:
                 :class:`SimulationError` when exceeded.
 
         The loop consumes each entry exactly once.  An entry beyond
-        ``until`` is left queued under its original ``(time, seq)`` key,
+        ``until`` is pushed back under its original ``(time, seq)`` key,
         so firing order across resumed runs is unchanged — as are the
-        ``cancelled_pending``/``compactions`` counters, which live on the
-        backend and are never reset by an overshoot.  Handle-free entries
+        ``cancelled_pending``/``compactions`` counters, which an
+        overshoot never resets.  Handle-free entries
         (:meth:`schedule_fast`) skip the cancelled-event branch entirely.
         """
         stop = inf if until is None else until
         limit = inf if max_events is None else max_events
-        self._equeue.drain(self, stop, limit, max_events)
+        heap = self._heap
+        pop = heappop
+        fired = 0
+        while heap:
+            entry = pop(heap)
+            event = entry[4]
+            if event is not None and event.cancelled:
+                if self._cancelled:
+                    self._cancelled -= 1
+                continue
+            time = entry[0]
+            if time > stop:
+                heappush(heap, entry)
+                break
+            if event is not None:
+                event.fired = True
+            self.now = time
+            self._events_processed += 1
+            entry[2](*entry[3])
+            fired += 1
+            if fired > limit:
+                raise SimulationError(f"exceeded max_events={max_events}")
         if until is not None and self.now < until:
             self.now = until

@@ -83,7 +83,7 @@ class OutputPort:
         recycle: bool = False,
         label: str = "",
     ) -> None:
-        if rate <= 0:
+        if not rate > 0:  # also rejects NaN, which fails every comparison
             raise ConfigurationError(f"link rate must be positive, got {rate}")
         if recycle and downstream is not None:
             raise ConfigurationError(

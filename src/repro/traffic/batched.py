@@ -8,9 +8,9 @@ release events double the event count on the shaping path.  This module
 trades that for block computation:
 
 * :func:`onoff_arrival_times` expands whole *blocks* of bursts — drawn
-  from the same two spawned child streams as ``OnOffSource``'s
-  ``rng_batch`` mode — into per-packet emission times with three numpy
-  ops (``repeat`` + ``arange`` + ``cumsum``);
+  from two child streams spawned off the flow's generator — into
+  per-packet emission times with three numpy ops (``repeat`` +
+  ``arange`` + ``cumsum``);
 * :func:`shaped_release_times` is the leaky bucket solved in closed
   form: the token-bucket recursion with a capped bucket reduces, after a
   change of variable, to one ``cummax`` scan (see the function
@@ -20,18 +20,17 @@ trades that for block computation:
   into a sink, one handle-free event per packet but zero per-packet
   draws, branches, or token arithmetic.
 
-The batched path is **gated off by default**.  Like ``rng_batch`` it is
-deterministic given the seed and independent of the block size, but it
-is a *different* random stream than the scalar pipeline — enabling it
+The batched path is **gated off by default**.  It is deterministic
+given the seed and independent of the block size, but it is a
+*different* random stream than the scalar pipeline — enabling it
 changes measurement values (never their statistics), so the equivalence
-goldens only cover the scalar path.  Set ``REPRO_BATCHED=1`` to switch
+goldens only cover the scalar path.  Set ``REPRO_BATCHED=1`` (read by
+:func:`repro.experiments.config.batched_pipeline_enabled`) to switch
 :func:`~repro.experiments.fabric.run_fabric`'s single-port pipeline
 over; see ``docs/engine.md`` for the applicability limits.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -41,25 +40,15 @@ from repro.sim.packet import Packet
 from repro.traffic.sources import DEFAULT_PACKET_SIZE
 
 __all__ = [
-    "BATCHED_ENV_VAR",
-    "batched_pipeline_enabled",
     "onoff_arrival_times",
     "shaped_release_times",
     "BatchedOnOffSource",
 ]
 
-#: Environment switch for the batched single-port pipeline.
-BATCHED_ENV_VAR = "REPRO_BATCHED"
-
 #: Bursts expanded per generation block.  Large enough that the numpy
 #: fixed costs amortise, small enough that short horizons do not draw
 #: orders of magnitude more randomness than they replay.
 DEFAULT_BLOCK_BURSTS = 512
-
-
-def batched_pipeline_enabled() -> bool:
-    """True when ``REPRO_BATCHED`` asks for the block pipeline."""
-    return os.environ.get(BATCHED_ENV_VAR, "").strip() not in ("", "0", "false", "no")
 
 
 def onoff_arrival_times(
@@ -79,8 +68,8 @@ def onoff_arrival_times(
     geometric bursts of back-to-back maximum-size packets at the peak
     rate, exponential OFF gaps sized for the long-run average rate, and
     a randomised initial phase.  Bursts and gaps come from two child
-    streams spawned off ``rng`` (the ``rng_batch`` layout), so the
-    result is deterministic given the seed and independent of
+    streams spawned off ``rng`` (``rng.spawn(2)``: bursts, then gaps),
+    so the result is deterministic given the seed and independent of
     ``block_bursts`` — but it is not the scalar source's stream.
 
     Returns a sorted float array of emission times, one per packet.

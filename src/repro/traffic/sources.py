@@ -58,14 +58,8 @@ class OnOffSource:
         packet_size: bytes per packet.
         start: time of the first burst decision.
         until: stop emitting at this time (None = never stop).
-        rng_batch: when set (>= 1), pre-draw burst lengths and OFF gaps
-            in vectorised blocks of this size from two child streams
-            spawned off ``rng``.  The batched stream is deterministic
-            given the seed and *independent of the block size* (blocks
-            refill per distribution from dedicated child generators), but
-            it is a different stream than the default scalar draws —
-            the default ``None`` preserves the legacy per-call draws
-            byte-for-byte.
+
+    Block-drawn on-off streams live in :mod:`repro.traffic.batched`.
     """
 
     def __init__(
@@ -80,7 +74,6 @@ class OnOffSource:
         packet_size: float = DEFAULT_PACKET_SIZE,
         start: float = 0.0,
         until: float | None = None,
-        rng_batch: int | None = None,
     ) -> None:
         if not 0 < avg_rate <= peak_rate:
             raise ConfigurationError(
@@ -90,8 +83,6 @@ class OnOffSource:
             raise ConfigurationError(
                 f"mean burst {mean_burst} smaller than one packet ({packet_size})"
             )
-        if rng_batch is not None and rng_batch < 1:
-            raise ConfigurationError(f"rng_batch must be >= 1, got {rng_batch}")
         self.sim = sim
         self.flow_id = flow_id
         self.peak_rate = float(peak_rate)
@@ -109,16 +100,6 @@ class OnOffSource:
         self._burst_p = min(1.0, 1.0 / max(self._mean_burst_packets, 1.0))
         mean_on = self.mean_burst / self.peak_rate
         self._mean_off = mean_on * (self.peak_rate / self.avg_rate - 1.0)
-        self._batch = rng_batch
-        if rng_batch is not None:
-            # Dedicated child streams per distribution: refilling one
-            # block never shifts the other stream, which is what makes
-            # the batched draws independent of the block size.
-            self._burst_rng, self._off_rng = rng.spawn(2)
-            self._bursts: np.ndarray = np.empty(0, dtype=np.int64)
-            self._burst_i = 0
-            self._offs: np.ndarray = np.empty(0)
-            self._off_i = 0
         # Randomise the initial phase so simultaneous sources do not
         # synchronise their first bursts.
         initial_delay = 0.0
@@ -130,25 +111,11 @@ class OnOffSource:
 
     def _next_burst_packets(self) -> int:
         """Next ON-period length in packets (geometric, mean >= 1)."""
-        if self._batch is None:
-            return int(self.rng.geometric(self._burst_p))
-        if self._burst_i >= len(self._bursts):
-            self._bursts = self._burst_rng.geometric(self._burst_p, size=self._batch)
-            self._burst_i = 0
-        value = self._bursts[self._burst_i]
-        self._burst_i += 1
-        return int(value)
+        return int(self.rng.geometric(self._burst_p))
 
     def _next_off(self) -> float:
         """Next OFF-period duration in seconds (exponential)."""
-        if self._batch is None:
-            return float(self.rng.exponential(self._mean_off))
-        if self._off_i >= len(self._offs):
-            self._offs = self._off_rng.exponential(self._mean_off, size=self._batch)
-            self._off_i = 0
-        value = self._offs[self._off_i]
-        self._off_i += 1
-        return float(value)
+        return float(self.rng.exponential(self._mean_off))
 
     # -- emission ---------------------------------------------------------
 

@@ -18,12 +18,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.config import BATCHED_ENV_VAR, batched_pipeline_enabled
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.traffic.batched import (
-    BATCHED_ENV_VAR,
     BatchedOnOffSource,
-    batched_pipeline_enabled,
     onoff_arrival_times,
     shaped_release_times,
 )

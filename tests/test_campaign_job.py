@@ -143,5 +143,4 @@ class TestScenarioKwargs:
         assert set(kwargs) == {
             "link_rate", "sim_time", "warmup", "seed", "headroom",
             "groups", "packet_size", "delay_histograms", "max_events",
-            "equeue",
         }

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.sink import RingSink
 from repro.sim.engine import Simulator
 
 
@@ -54,6 +55,30 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
+
+    def test_nan_time_rejected(self):
+        # Regression: NaN compares false against everything, so it slipped
+        # past a `time < now` guard and fired out of order in the heap.
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending == 0
+
+    def test_callback_exception_consumes_the_entry(self):
+        # A user exception escaping run() must not re-fire the event
+        # that raised: the entry was consumed before the callback ran.
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: 1 / 0)
+        sim.schedule(2.0, fired.append, "later")
+        with pytest.raises(ZeroDivisionError):
+            sim.run()
+        sim.run()
+        assert fired == ["later"]
+        assert sim.events_processed == 2
+        assert sim.pending == 0
 
     def test_events_can_schedule_more_events(self):
         sim = Simulator()
@@ -167,7 +192,7 @@ class TestHeapCompaction:
         assert order == list(range(150))
 
     def test_small_heaps_skip_compaction(self):
-        # Below equeue.COMPACT_MIN_PENDING lazy deletion is cheaper than a rebuild.
+        # Below engine.COMPACT_MIN_PENDING lazy deletion is cheaper than a rebuild.
         sim = Simulator()
         for _ in range(10):
             sim.schedule(1.0, lambda: None).cancel()
@@ -198,6 +223,45 @@ class TestHeapCompaction:
         assert fired == ["survivor"]
         assert sim.compactions > 0
 
+    def test_compact_emits_trace_event(self):
+        sink = RingSink()
+        sim = Simulator()
+        sim.attach_trace(sink)
+        handles = [sim.schedule(float(i), lambda: None) for i in range(100)]
+        for handle in handles[:51]:
+            handle.cancel()
+        compacts = [e for e in sink.events() if type(e).kind == "compact"]
+        assert len(compacts) == 1
+        assert compacts[0].removed == 51
+        assert compacts[0].remaining == 49
+
+    def test_counters_survive_run_until_overshoot(self):
+        # Entries beyond ``until`` stay queued with their cancelled and
+        # compaction bookkeeping intact across resumes.
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "early")
+        late_live = sim.schedule(5.0, fired.append, "late")
+        late_dead = sim.schedule(6.0, fired.append, "dead")
+        late_dead.cancel()
+        sim.run(until=2.0)
+        assert fired == ["early"]
+        assert sim.now == 2.0
+        assert sim.cancelled_pending == 1
+        assert sim.pending == 2
+        sim.run()
+        assert fired == ["early", "late"]
+        assert sim.cancelled_pending == 0
+        assert not late_live.cancelled and late_live.fired
+
+    def test_cancel_after_fire_is_a_counter_noop(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        sim.run()
+        handle.cancel()
+        assert not handle.cancelled
+        assert sim.cancelled_pending == 0
+
 
 class TestStep:
     def test_step_fires_one_event(self):
@@ -219,6 +283,18 @@ class TestStep:
         assert sim.step()
         assert fired == ["b"]
 
+    def test_step_and_run_interleave(self):
+        sim = Simulator()
+        fired = []
+        for t in (1.0, 2.0, 3.0, 4.0):
+            sim.schedule_at(t, fired.append, t)
+        assert sim.step()
+        sim.run(until=2.5)
+        assert sim.step()
+        assert sim.step()
+        assert not sim.step()
+        assert fired == [1.0, 2.0, 3.0, 4.0]
+
 
 class TestScheduleFast:
     """The handle-free hot path: same ordering, no Event allocation."""
@@ -238,6 +314,17 @@ class TestScheduleFast:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule_fast(-0.1, lambda: None)
+
+    def test_nan_delay_rejected(self):
+        # Regression: a NaN delay used to fire first and leave the clock
+        # at NaN, after which it ran backwards to the next real event.
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_fast(float("nan"), lambda: None)
+        sim.run()
+        assert sim.now == 1.0
+        assert sim.events_processed == 1
 
     def test_ties_break_in_scheduling_order_across_both_apis(self):
         sim = Simulator()

@@ -64,7 +64,6 @@ def run_families():
             sim_time=SIM_TIME,
             warmup=0.0,
             seed=SEED + index,
-            equeue="heap",
             **extra,
         )
 

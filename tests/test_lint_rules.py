@@ -277,7 +277,7 @@ class TestPortEncapsulationRPR106:
         assert rule_ids(clean, select=["RPR106"]) == []
 
 
-class TestEventQueueEncapsulationRPR110:
+class TestHeapqEncapsulationRPR110:
     def test_flags_plain_import(self):
         assert "RPR110" in rule_ids("import heapq\n")
 
@@ -287,8 +287,8 @@ class TestEventQueueEncapsulationRPR110:
     def test_flags_submodule_style_import(self):
         assert "RPR110" in rule_ids("import heapq as hq\n")
 
-    def test_equeue_module_is_allowed(self):
-        assert rule_ids("import heapq\n", path="src/repro/sim/equeue.py") == []
+    def test_engine_module_is_allowed(self):
+        assert rule_ids("import heapq\n", path="src/repro/sim/engine.py") == []
 
     @pytest.mark.parametrize(
         "path",
@@ -296,18 +296,70 @@ class TestEventQueueEncapsulationRPR110:
     )
     def test_packet_schedulers_are_allowed(self, path):
         # WFQ/SCFQ/RPQ order packets by virtual finish time — a separate
-        # priority queue from the event calendar.
+        # priority queue from the event heap.
         assert rule_ids("import heapq\n", path=path, select=["RPR110"]) == []
 
-    def test_engine_module_is_not_exempt(self):
-        # The refactor's point: the engine schedules through EventQueue.
+    def test_other_sim_modules_are_not_exempt(self):
+        # Only the engine module owns the event heap, not its package.
         assert "RPR110" in rule_ids(
-            "import heapq\n", path="src/repro/sim/engine.py"
+            "import heapq\n", path="src/repro/sim/port.py", select=["RPR110"]
         )
 
     def test_tests_and_benchmarks_exempt(self):
         assert rule_ids("import heapq\n", path=TEST_PATH) == []
         assert rule_ids("import heapq\n", path="benchmarks/bench_x.py") == []
+
+
+class TestEnvironmentAccessRPR111:
+    def test_flags_environ_read(self):
+        source = """
+            import os
+
+            FLAG = os.environ.get("REPRO_X", "")
+            """
+        assert rule_ids(source, select=["RPR111"]) == ["RPR111"]
+
+    def test_flags_environ_write(self):
+        source = """
+            import os
+
+            def arm():
+                os.environ["REPRO_X"] = "1"
+            """
+        assert rule_ids(source, select=["RPR111"]) == ["RPR111"]
+
+    def test_flags_getenv_and_from_import(self):
+        source = """
+            import os
+            from os import environ
+
+            A = os.getenv("REPRO_A")
+            """
+        assert rule_ids(source, select=["RPR111"]) == ["RPR111", "RPR111"]
+
+    def test_config_module_is_allowed(self):
+        source = """
+            import os
+
+            FLAG = os.environ.get("REPRO_X", "")
+            """
+        path = "src/repro/experiments/config.py"
+        assert rule_ids(source, path=path, select=["RPR111"]) == []
+
+    def test_other_os_attributes_are_fine(self):
+        source = """
+            import os
+
+            def save(tmp, path):
+                os.replace(tmp, path)
+                return os.getpid()
+            """
+        assert rule_ids(source, select=["RPR111"]) == []
+
+    def test_tests_and_benchmarks_exempt(self):
+        source = "import os\nX = os.environ\n"
+        assert rule_ids(source, path=TEST_PATH) == []
+        assert rule_ids(source, path="benchmarks/bench_x.py") == []
 
 
 class TestScoping:

@@ -19,14 +19,14 @@ from repro.obs.telemetry import (
 )
 
 
-def make_entry(digest="d0", wall=0.5, events=100, hit=False, worker=1, equeue=""):
+def make_entry(digest="d0", wall=0.5, events=100, hit=False, worker=1, compactions=0):
     return JobTelemetry(
         job_digest=digest,
         wall_time=wall,
         events=events,
         cache_hit=hit,
         worker=worker,
-        equeue=equeue,
+        compactions=compactions,
     )
 
 
@@ -98,39 +98,7 @@ class TestCampaignReport:
         report.render()  # must not raise on empty
 
 
-class TestBackendAccounting:
-    def test_per_backend_sums_over_executed_jobs(self):
-        report = CampaignReport.from_telemetry(
-            [
-                make_entry("a", wall=1.0, events=10, equeue="heap"),
-                make_entry("b", wall=2.0, events=20, equeue="heap"),
-                make_entry("c", wall=4.0, events=40, equeue="calendar"),
-            ]
-        )
-        backends = report.backends
-        assert set(backends) == {"calendar", "heap"}
-        assert backends["heap"] == {
-            "jobs": 2,
-            "events": 30,
-            "wall_time": pytest.approx(3.0),
-            "cancelled_pending": 0,
-            "compactions": 0,
-        }
-        assert backends["calendar"]["jobs"] == 1
-        assert backends["calendar"]["events"] == 40
-
-    def test_cache_hits_report_no_backend(self):
-        # A cache hit runs no engine: its backend is unknown and must
-        # not pollute the per-backend accounting.
-        report = CampaignReport.from_telemetry(
-            [
-                make_entry("a", equeue="heap"),
-                make_entry("b", hit=True, equeue=""),
-            ]
-        )
-        assert set(report.backends) == {"heap"}
-        assert report.backends["heap"]["jobs"] == 1
-
+class TestEngineTotals:
     def test_engine_counters_accumulate(self):
         entries = [
             JobTelemetry(
@@ -139,27 +107,27 @@ class TestBackendAccounting:
                 events=5,
                 cache_hit=False,
                 worker=1,
-                equeue="calendar",
                 cancelled_pending=2,
                 compactions=1,
             )
             for d in ("a", "b")
         ]
-        stats = CampaignReport.from_telemetry(entries).backends["calendar"]
-        assert stats["cancelled_pending"] == 4
-        assert stats["compactions"] == 2
+        report = CampaignReport.from_telemetry(entries)
+        assert report.total_cancelled_pending == 4
+        assert report.total_compactions == 2
 
-    def test_backends_in_render_and_to_dict(self):
+    def test_cache_hits_add_no_engine_counters(self):
+        # A cache hit runs no engine, so its telemetry carries zeros.
         report = CampaignReport.from_telemetry(
-            [make_entry("a", equeue="calendar")]
+            [make_entry("a", compactions=3), make_entry("b", hit=True)]
         )
-        assert report.to_dict()["backends"]["calendar"]["jobs"] == 1
-        assert "engine [calendar]" in report.render()
+        assert report.total_compactions == 3
 
-    def test_backends_returns_copies(self):
-        report = CampaignReport.from_telemetry([make_entry("a", equeue="heap")])
-        report.backends["heap"]["jobs"] = 999
-        assert report.backends["heap"]["jobs"] == 1
+    def test_totals_in_render_and_to_dict(self):
+        report = CampaignReport.from_telemetry([make_entry("a", compactions=2)])
+        assert report.to_dict()["total_compactions"] == 2
+        assert report.to_dict()["total_cancelled_pending"] == 0
+        assert "engine          : 2 compaction(s), 0 cancelled pending" in report.render()
 
 
 class TestTelemetryFiles:
@@ -185,12 +153,7 @@ class TestTelemetryFiles:
 
 
 class TestRunnerIntegration:
-    def test_executed_jobs_carry_telemetry(self, monkeypatch):
-        from repro.sim.equeue import EQUEUE_ENV_VAR
-
-        # Jobs without an explicit backend resolve via REPRO_EQUEUE;
-        # pin the env so the recorded backend is the heap default.
-        monkeypatch.delenv(EQUEUE_ENV_VAR, raising=False)
+    def test_executed_jobs_carry_telemetry(self):
         runner = CampaignRunner()
         jobs = make_jobs(2)
         records = runner.run(jobs)
@@ -201,16 +164,6 @@ class TestRunnerIntegration:
             assert telemetry.cache_hit is False
             assert telemetry.wall_time > 0
             assert telemetry.events == record.events_processed
-            assert telemetry.equeue == "heap"
-
-    def test_executed_jobs_report_their_backend(self):
-        jobs = [
-            dataclasses.replace(job, equeue="calendar") for job in make_jobs(1)
-        ]
-        runner = CampaignRunner()
-        records = runner.run(jobs)
-        assert records[0].telemetry.equeue == "calendar"
-        assert set(runner.last_report.backends) == {"calendar"}
 
     def test_cache_hits_marked(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -118,6 +118,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             OutputPort(sim, 0.0, FIFOScheduler(), TailDropManager(1000.0))
 
+    def test_nan_rate_rejected(self):
+        # Regression: NaN slipped past a `rate <= 0` guard and turned
+        # every transmission time into NaN.
+        sim = Simulator()
+        with pytest.raises(ConfigurationError):
+            OutputPort(sim, float("nan"), FIFOScheduler(), TailDropManager(1000.0))
+
     def test_collector_is_optional(self):
         sim = Simulator()
         port = OutputPort(sim, 1000.0, FIFOScheduler(), TailDropManager(1000.0))

@@ -171,10 +171,14 @@ class TestTraceSource:
 
 
 class TestRngBatching:
-    """Opt-in block RNG draws; the default path stays byte-identical."""
+    """The source draws one scalar per burst and per gap from ``rng``.
+
+    Block-drawn on-off streams live in :mod:`repro.traffic.batched`
+    (``tests/test_batched.py``).
+    """
 
     @staticmethod
-    def _emission_times(rng_batch, seed=5, until=2.0):
+    def _emission_times(seed=5, until=2.0):
         sim = Simulator()
         sink = Recorder()
         OnOffSource(
@@ -187,31 +191,12 @@ class TestRngBatching:
             rng=np.random.default_rng(seed),
             packet_size=500.0,
             until=until,
-            rng_batch=rng_batch,
         )
         sim.run(until=until)
         assert sink.packets
         return [p.created for p in sink.packets]
 
-    def test_batch_below_one_rejected(self):
-        with pytest.raises(ConfigurationError):
-            self._emission_times(rng_batch=0)
-
-    def test_batched_stream_reproducible_for_a_seed(self):
-        assert self._emission_times(16) == self._emission_times(16)
-
-    def test_batched_stream_invariant_to_block_size(self):
-        assert self._emission_times(1) == self._emission_times(128)
-
-    def test_batched_draws_use_child_streams(self):
-        # Documented contract: batching switches to spawned child
-        # streams, so it is a *different* deterministic stream than the
-        # legacy scalar draws (which remain the default).
-        assert self._emission_times(None) != self._emission_times(16)
-
     def test_default_remains_legacy_scalar_draws(self):
-        # Guard the byte-compat default: same seed, no batching, same
-        # stream as a directly-seeded generator making interleaved
-        # scalar draws.
-        times = self._emission_times(None)
-        assert times == self._emission_times(None)
+        # Guard the byte-compat default: same seed, same stream.
+        times = self._emission_times()
+        assert times == self._emission_times()
