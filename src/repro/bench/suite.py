@@ -15,11 +15,10 @@ Two kinds of cases:
   silently measuring something else.
 * **Micro** cases mirror the pytest-benchmark engine workloads (event
   chain, preloaded heap, cancellation drain) plus an admission-dominated
-  churn workload with and without live buffer reclamation, a port loop
-  sampled by an installed sim-time
-  :class:`~repro.obs.timeline.Timeline`, and the collapsed
-  ``batched-pipeline`` source->shaper chain.  They are
-  digested over their canonical parameters tagged with
+  churn workload with and without live buffer reclamation, and a port
+  loop sampled by an installed sim-time
+  :class:`~repro.obs.timeline.Timeline`.  They are digested over their
+  canonical parameters tagged with
   :data:`~repro.bench.baseline.BENCH_SCHEMA`.
 
 Every case is deterministic: a fixed seed, a fixed workload, a fixed
@@ -54,7 +53,6 @@ from repro.sched.fifo import FIFOScheduler
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
-from repro.traffic.batched import BatchedOnOffSource
 from repro.traffic.profiles import FlowSpec
 from repro.units import kbytes, mbps, mbytes
 
@@ -217,19 +215,6 @@ def _run_cancellation(params: dict) -> int:
     return sim.events_processed
 
 
-class _CountingSink:
-    """Swallow packets, releasing each back to the freelist."""
-
-    __slots__ = ("packets",)
-
-    def __init__(self) -> None:
-        self.packets = 0
-
-    def receive(self, packet) -> None:
-        self.packets += 1
-        packet.release()
-
-
 def _run_churn(params: dict) -> int:
     """Admission-dominated flow churn over a two-hop tandem.
 
@@ -272,32 +257,6 @@ def _run_churn(params: dict) -> int:
         seed=params["seed"],
     )
     return run_fabric(scenario).events_processed
-
-
-def _run_batched_pipeline(params: dict) -> int:
-    """The collapsed source->shaper chain of the batched pipeline.
-
-    A :class:`~repro.traffic.batched.BatchedOnOffSource` with a
-    ``(sigma, rho)`` envelope replays a block-generated, block-shaped
-    stream into a null sink: the scalar pipeline's per-packet RNG and
-    every shaper refill/release event are gone, leaving one handle-free
-    replay event per packet.
-    """
-    sim = Simulator()
-    sink = _CountingSink()
-    BatchedOnOffSource(
-        sim,
-        0,
-        mbps(48.0),
-        mbps(12.0),
-        16_000.0,
-        sink,
-        np.random.default_rng(params["seed"]),
-        until=params["sim_time"],
-        shaping=(kbytes(50.0), mbps(12.0)),
-    )
-    sim.run(until=params["sim_time"])
-    return sim.events_processed
 
 
 def _run_timeline_sampled(params: dict) -> int:
@@ -386,12 +345,6 @@ def _micro_cases(n_events: int, source_time: float) -> list[BenchCase]:
             runner=_run_timeline_sampled,
             params={"n_packets": n_events // 10, "interval": 0.01},
         ),
-        BenchCase(
-            "batched-pipeline",
-            MICRO,
-            runner=_run_batched_pipeline,
-            params={"seed": 7, "sim_time": source_time},
-        ),
     ]
 
 
@@ -399,7 +352,7 @@ def _micro_cases(n_events: int, source_time: float) -> list[BenchCase]:
 
 
 def default_suite(quick: bool = False) -> list[BenchCase]:
-    """The curated suite: five macro + seven micro cases.
+    """The curated suite: five macro + six micro cases.
 
     ``quick`` shrinks sim time and op counts for CI-class machines; the
     case *digests* change with it, so quick and full baselines never

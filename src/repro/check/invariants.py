@@ -94,7 +94,7 @@ def _admission_for(
 
 def _hop_sigmas(scenario: NetworkScenario) -> dict[int, dict[tuple[str, str], float]]:
     """Inflated burst envelope per flow per hop, exactly as the fabric
-    computes it before sizing thresholds (build._run_network)."""
+    computes it before sizing thresholds (build._simulate)."""
     link_delay = {
         (link.src, link.dst): scenario.node(link.src).buffer_size / link.rate
         for link in scenario.links

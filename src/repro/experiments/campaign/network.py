@@ -46,7 +46,10 @@ __all__ = ["NETWORK_SCHEMA", "NetworkJob", "LinkRecord", "NetworkRecord"]
 #: v2: ``ChurnSpec`` gained the ``reclamation`` knob (serialized into
 #: every churn scenario) and ``ChurnReport`` the ``blocked_unknown``
 #: counter, changing both job and record layouts.
-NETWORK_SCHEMA = "repro-campaign-net-v2"
+#: v3: one-link scenarios run through the same path as every other
+#: topology, so their records now carry the delivery counters that v2
+#: left empty.
+NETWORK_SCHEMA = "repro-campaign-net-v3"
 
 
 @dataclass(frozen=True)
@@ -185,19 +188,10 @@ class NetworkRecord:
             )
             for label, link in sorted(result.links.items())
         }
-        delivery_packets: dict[int, int] = {}
-        delivery_bytes: dict[int, float] = {}
-        delivery_delay_max: dict[int, float] = {}
-        delays: dict[int, DelaySummary] = {}
         sink = result.delivery
-        if sink is not None:
-            delivery_packets = {i: sink.packets[i] for i in sorted(sink.packets)}
-            delivery_bytes = {i: sink.bytes[i] for i in sorted(sink.bytes)}
-            delivery_delay_max = {
-                i: sink.delay_max[i] for i in sorted(sink.delay_max)
-            }
+        delays: dict[int, DelaySummary] = {}
         collector = result.delivery_collector
-        if collector is not None and collector.delay_histograms:
+        if collector.delay_histograms:
             for flow_id in sorted(collector.flows):
                 delays[flow_id] = DelaySummary.from_histogram(
                     collector.delay_histogram(flow_id)
@@ -209,9 +203,9 @@ class NetworkRecord:
             seed=result.scenario.seed,
             events_processed=result.events_processed,
             links=links,
-            delivery_packets=delivery_packets,
-            delivery_bytes=delivery_bytes,
-            delivery_delay_max=delivery_delay_max,
+            delivery_packets={i: sink.packets[i] for i in sorted(sink.packets)},
+            delivery_bytes={i: sink.bytes[i] for i in sorted(sink.bytes)},
+            delivery_delay_max={i: sink.delay_max[i] for i in sorted(sink.delay_max)},
             delays=delays,
             churn=result.churn,
         )

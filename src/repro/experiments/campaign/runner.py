@@ -50,8 +50,8 @@ def execute_job(job):
     """Run one job to completion and return its measurement record.
 
     Accepts both job families: a classic
-    :class:`~repro.experiments.campaign.job.ScenarioJob` runs the
-    single-port pipeline and returns a :class:`ScenarioRecord`; a
+    :class:`~repro.experiments.campaign.job.ScenarioJob` runs one port
+    through ``run_scenario`` and returns a :class:`ScenarioRecord`; a
     :class:`~repro.experiments.campaign.network.NetworkJob` runs the
     scenario fabric and returns a
     :class:`~repro.experiments.campaign.network.NetworkRecord`.

@@ -26,8 +26,6 @@ __all__ = [
     "campaign_cache_setting",
     "campaign_telemetry_setting",
     "campaign_monitor_enabled",
-    "BATCHED_ENV_VAR",
-    "batched_pipeline_enabled",
 ]
 
 
@@ -86,16 +84,6 @@ def campaign_monitor_enabled() -> bool:
     byte-identical, like telemetry).
     """
     return os.environ.get("REPRO_MONITOR", "").strip() not in ("", "0", "false", "no")
-
-
-#: Environment switch for the batched single-port pipeline
-#: (:mod:`repro.traffic.batched`).
-BATCHED_ENV_VAR = "REPRO_BATCHED"
-
-
-def batched_pipeline_enabled() -> bool:
-    """True when ``REPRO_BATCHED`` asks for the block pipeline."""
-    return os.environ.get(BATCHED_ENV_VAR, "").strip() not in ("", "0", "false", "no")
 
 
 @dataclass(frozen=True)

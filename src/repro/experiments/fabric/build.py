@@ -1,24 +1,22 @@
-"""Scenario fabric execution: one entry point for any topology.
+"""Scenario fabric execution: one construct-and-run path for any topology.
 
-:func:`run_fabric` simulates a :class:`NetworkScenario`.  Two paths:
+:func:`run_fabric` simulates a :class:`NetworkScenario`.  Nodes, links
+and routes are materialised as a :class:`repro.net.topology.Network`;
+each source (or its leaky-bucket shaper) feeds its first-hop port
+directly, and a terminal :class:`~repro.net.topology.DeliverySink`
+records end-to-end statistics and releases delivered packets.  Per-link
+thresholds are computed from the *inflated* burst envelope at each hop
+(:func:`~repro.net.topology.per_hop_sigma`), so a conformant flow that
+fits at its first hop keeps its lossless guarantee downstream.
 
-* **single-port fast path** — when the scenario is the one-node special
-  case (:attr:`NetworkScenario.is_single_port`), the run is constructed
-  exactly as the historical :func:`~repro.experiments.runner.run_scenario`
-  did: same object construction order, same seed-spawn order, packets
-  recycled at the port.  The equivalence goldens pin this path
-  byte-for-byte.
-* **general path** — nodes, links and routes are materialised as a
-  :class:`repro.net.topology.Network`.  Mid-path ports never recycle
-  (the port itself refuses ``recycle=True`` with a downstream); the
-  delivery sink releases packets instead.  Per-link thresholds are
-  computed from the *inflated* burst envelope at each hop
-  (:func:`~repro.net.topology.per_hop_sigma`), so a conformant flow
-  that fits at its first hop keeps its lossless guarantee downstream.
-
-The two paths produce identical measurements for the same single-node
-scenario — the test suite asserts it — the fast path simply avoids the
-topology indirection on the hot configuration.
+A single port is simply the one-link case.  Its construction and
+seed-spawn order are those of the historical single-port runner, which
+keeps the equivalence goldens byte-identical; the only other things
+:attr:`NetworkScenario.is_single_port` decides are the blank port label
+(trace events, timeline and monitor keys) and unlabelled registry
+gauges.  :func:`~repro.experiments.runner.run_scenario` runs the same
+path without a delivery sink: its one port then has no downstream and
+recycles packets itself, which saves the forwarding calls per packet.
 """
 
 from __future__ import annotations
@@ -33,18 +31,14 @@ from repro.analysis.delay import worst_case_fifo_delay
 from repro.core.pool import BufferPool
 from repro.core.thresholds import flow_threshold
 from repro.errors import ConfigurationError
-from repro.experiments.config import batched_pipeline_enabled
 from repro.experiments.fabric.churn import ChurnReport, FlowChurnProcess, HopState
 from repro.experiments.fabric.scenario import DYNAMIC_FLOW_BASE, NetworkScenario
-from repro.experiments.runner import ScenarioResult
 from repro.experiments.schemes import Scheme, SchemeBuild, build_scheme
 from repro.metrics.collector import FlowStats, StatsCollector
 from repro.net.topology import DeliverySink, Network, per_hop_sigma
 from repro.obs.monitor import MonitorReport
 from repro.obs.sink import TeeSink
 from repro.sim.engine import Simulator
-from repro.sim.port import OutputPort
-from repro.traffic.batched import BatchedOnOffSource
 from repro.traffic.shaper import LeakyBucketShaper
 from repro.traffic.sources import OnOffSource
 
@@ -80,8 +74,8 @@ class LinkResult:
 class FabricResult:
     """Measurements of one fabric run (any topology).
 
-    ``scenario_result`` is populated only on the single-port fast path,
-    where it is exactly what the historical runner returned.
+    ``delivery`` and ``delivery_collector`` hold the end-to-end record;
+    :func:`run_fabric` always fills them.
     """
 
     scenario: NetworkScenario
@@ -95,7 +89,6 @@ class FabricResult:
     delivery: DeliverySink | None = None
     delivery_collector: StatsCollector | None = None
     churn: ChurnReport | None = None
-    scenario_result: ScenarioResult | None = None
     #: The timeline passed into :func:`run_fabric`, post-run (series
     #: filled); None when sampling was not requested.
     timeline: object | None = None
@@ -120,10 +113,6 @@ class FabricResult:
 
     def end_to_end_percentile(self, flow_id: int, q: float) -> float:
         """End-to-end delay percentile; needs ``delay_histograms=True``."""
-        if self.delivery_collector is None:
-            raise ConfigurationError(
-                "end-to-end delays are only recorded on the network path"
-            )
         return self.delivery_collector.delay_histogram(flow_id).percentile(q)
 
 
@@ -150,10 +139,10 @@ def run_fabric(
     Args:
         scenario: the declarative experiment.
         sink: optional :class:`~repro.obs.sink.TraceSink`; events carry
-            per-hop ``node`` labels on the network path.
+            per-hop ``node`` labels (blank on a single port).
         registry: optional :class:`~repro.obs.registry.MetricsRegistry`;
-            network runs register the engine once and each link under
-            ``node``/``link`` labels.
+            the engine is registered once and each link under
+            ``node``/``link`` labels (unlabelled on a single port).
         timeline: optional :class:`~repro.obs.timeline.Timeline`; probes
             for every hop's occupancy/free space (plus headroom, pool
             split and churn counts where applicable, and per-flow
@@ -165,14 +154,9 @@ def run_fabric(
             scenario's analytic bounds, and finalized into
             :attr:`FabricResult.monitor_report`.
     """
-    if scenario.is_single_port:
-        return _run_single_port(
-            scenario, sink=sink, registry=registry,
-            timeline=timeline, monitor=monitor,
-        )
-    return _run_network(
+    return _simulate(
         scenario, sink=sink, registry=registry,
-        timeline=timeline, monitor=monitor,
+        timeline=timeline, monitor=monitor, deliver=True,
     )
 
 
@@ -243,168 +227,36 @@ def _wire_link_timeline(
             )
 
 
-def _run_single_port(
-    scenario: NetworkScenario, *, sink=None, registry=None,
-    timeline=None, monitor=None,
+def _simulate(
+    scenario: NetworkScenario, *, sink, registry, timeline, monitor,
+    deliver: bool,
 ) -> FabricResult:
-    """The historical ``run_scenario`` pipeline, verbatim.
+    """Materialise the topology, route the flows and run.
 
-    Construction order, seed-spawn order, and the recycling port are
-    exactly those of the pre-fabric runner — this is what keeps the
-    equivalence goldens byte-identical.
+    ``deliver=False`` (used by ``run_scenario``, single ports only)
+    builds no delivery sink: the port gets no downstream and recycles
+    packets itself, and the result's delivery fields stay None.
     """
-    link = scenario.links[0]
-    node = scenario.node(link.src)
-    flows = tuple(routed.spec for routed in scenario.flows)
     warmup = scenario.effective_warmup
-
+    single = scenario.is_single_port
     sim = Simulator()
-    build: SchemeBuild = build_scheme(
-        sim,
-        node.scheme,
-        flows,
-        node.buffer_size,
-        link.rate,
-        headroom=node.headroom,
-        groups=node.groups,
-    )
-    collector = StatsCollector(
-        warmup=warmup, delay_histograms=scenario.delay_histograms
-    )
-    # The single-port pipeline is closed (no downstream, nothing retains
-    # packets after the port is done), so packet recycling is safe.
-    port = OutputPort(
-        sim,
-        link.rate,
-        build.scheduler,
-        build.manager,
-        collector,
-        recycle=scenario.recycle,
-    )
-    effective = _effective_sink(sink, monitor)
-    if effective is not None:
-        port.attach_trace(effective)
-    if registry is not None:
-        port.register_metrics(registry)
-    if monitor is not None:
-        # Single-port events carry the empty node label.
-        _wire_link_monitor(monitor, "", build, node.buffer_size, link.rate)
-        for flow in flows:
-            if flow.conformant:
-                monitor.watch_flow(flow.flow_id, shaped=True, route=("",))
-        monitor.install(sim, scenario.sim_time)
-    if timeline is not None:
-        _wire_link_timeline(
-            timeline, "", build, frozenset(flow.flow_id for flow in flows)
+    delivery = delivery_collector = None
+    if deliver:
+        delivery_collector = StatsCollector(
+            warmup=warmup, delay_histograms=scenario.delay_histograms
         )
-        timeline.probe("backlog_packets", lambda: float(port.backlog_packets))
-        timeline.install(sim, scenario.sim_time)
-
-    seed_seq = np.random.SeedSequence(scenario.seed)
-    child_seqs = seed_seq.spawn(len(flows))
-    # Off by default: REPRO_BATCHED swaps the scalar source/shaper
-    # chains for block replay (repro.traffic.batched).  A different —
-    # equally valid — random stream, so the equivalence goldens only
-    # cover the scalar path.
-    batched = batched_pipeline_enabled()
-    for flow, child in zip(flows, child_seqs):
-        # One generator per flow, constructed in whichever branch runs —
-        # the branches are exclusive, so no stream is ever shared.
-        if batched:
-            BatchedOnOffSource(
-                sim,
-                flow.flow_id,
-                flow.peak_rate,
-                flow.avg_rate,
-                flow.mean_burst,
-                port,
-                np.random.default_rng(child),
-                until=scenario.sim_time,
-                shaping=(flow.bucket, flow.token_rate) if flow.conformant else None,
-                packet_size=scenario.packet_size,
-            )
-            continue
-        destination = port
-        if flow.conformant:
-            destination = LeakyBucketShaper(sim, flow.bucket, flow.token_rate, port)
-        OnOffSource(
-            sim,
-            flow.flow_id,
-            flow.peak_rate,
-            flow.avg_rate,
-            flow.mean_burst,
-            destination,
-            np.random.default_rng(child),
-            packet_size=scenario.packet_size,
-            until=scenario.sim_time,
+        delivery = DeliverySink(
+            collector=delivery_collector, recycle=scenario.recycle
         )
-
-    sim.run(until=scenario.sim_time, max_events=scenario.max_events)
-
-    result = ScenarioResult(
-        scheme=node.scheme,
-        buffer_size=node.buffer_size,
-        link_rate=link.rate,
-        sim_time=scenario.sim_time,
-        warmup=warmup,
-        seed=scenario.seed,
-        flow_stats=dict(collector.flows),
-        thresholds=build.thresholds,
-        queue_rates=build.queue_rates,
-        queue_buffers=build.queue_buffers,
-        events_processed=sim.events_processed,
-        collector=collector,
-        cancelled_pending=sim.cancelled_pending,
-        compactions=sim.compactions,
-    )
-    # Flows that never got a packet through still deserve an entry.
-    for flow in flows:
-        result.flow_stats.setdefault(flow.flow_id, FlowStats())
-
-    return FabricResult(
-        scenario=scenario,
-        events_processed=sim.events_processed,
-        cancelled_pending=sim.cancelled_pending,
-        compactions=sim.compactions,
-        links={
-            link.label: LinkResult(
-                label=link.label,
-                src=link.src,
-                dst=link.dst,
-                rate=link.rate,
-                buffer_size=node.buffer_size,
-                collector=collector,
-                thresholds=build.thresholds,
-                queue_rates=build.queue_rates,
-                queue_buffers=build.queue_buffers,
-            )
-        },
-        scenario_result=result,
-        timeline=timeline,
-        monitor_report=None if monitor is None else monitor.finalize(),
-    )
-
-
-def _run_network(
-    scenario: NetworkScenario, *, sink=None, registry=None,
-    timeline=None, monitor=None,
-) -> FabricResult:
-    """The general path: materialise the topology and route flows."""
-    warmup = scenario.effective_warmup
-    sim = Simulator()
-    delivery_collector = StatsCollector(
-        warmup=warmup, delay_histograms=scenario.delay_histograms
-    )
-    delivery = DeliverySink(
-        collector=delivery_collector, recycle=scenario.recycle
-    )
     net = Network(sim, sink=delivery)
+    nodes = {}
     for node in scenario.nodes:
         net.add_node(node.name)
+        nodes[node.name] = node
 
     # Worst-case queueing delay per link, for burst-envelope inflation.
     link_delay = {
-        (link.src, link.dst): scenario.node(link.src).buffer_size / link.rate
+        (link.src, link.dst): nodes[link.src].buffer_size / link.rate
         for link in scenario.links
     }
     # flow id -> {(src, dst): effective sigma at that hop's entry}.
@@ -414,28 +266,31 @@ def _run_network(
         sigmas = per_hop_sigma(
             routed.spec.bucket,
             routed.spec.token_rate,
-            [link_delay[hop] for hop in hops],
+            # map rather than a comprehension: no extra frame per flow.
+            list(map(link_delay.__getitem__, hops)),
         )
         hop_sigmas[routed.spec.flow_id] = dict(zip(hops, sigmas))
 
     links: dict[str, LinkResult] = {}
     builds: dict[tuple[str, str], SchemeBuild] = {}
+    # Node label per link for traces, timeline and monitor keys.
+    labels: dict[tuple[str, str], str] = {}
     for link in scenario.links:
-        node = scenario.node(link.src)
+        node = nodes[link.src]
         key = (link.src, link.dst)
-        crossing = [
-            routed
-            for routed in scenario.flows
-            if key in hop_sigmas[routed.spec.flow_id]
-        ]
         # Thresholds at this hop are sized for the *inflated* envelope:
-        # sigma grows by rho * D across every upstream hop.
-        effective = [
-            dataclasses.replace(
-                routed.spec, bucket=hop_sigmas[routed.spec.flow_id][key]
+        # sigma grows by rho * D across every upstream hop.  At a flow's
+        # first hop that is its own bucket, so its spec is used as is.
+        effective = []
+        for routed in scenario.flows:
+            sigma = hop_sigmas[routed.spec.flow_id].get(key)
+            if sigma is None:
+                continue
+            effective.append(
+                routed.spec
+                if sigma == routed.spec.bucket
+                else dataclasses.replace(routed.spec, bucket=sigma)
             )
-            for routed in crossing
-        ]
         build = build_scheme(
             sim,
             node.scheme,
@@ -448,11 +303,18 @@ def _run_network(
         collector = StatsCollector(
             warmup=warmup, delay_histograms=scenario.delay_histograms
         )
-        net.add_link(
+        port = net.add_link(
             link.src, link.dst, link.rate, build.scheduler, build.manager,
             collector=collector,
         )
+        if single:
+            port.label = ""
+        if not deliver:
+            # A port recycles if and only if it has no downstream.
+            port.downstream = None
+            port.recycle = scenario.recycle
         builds[key] = build
+        labels[key] = port.label
         links[link.label] = LinkResult(
             label=link.label,
             src=link.src,
@@ -472,22 +334,25 @@ def _run_network(
     if effective is not None:
         net.attach_trace(effective)
     if registry is not None:
-        net.register_metrics(registry)
+        if single:
+            # The one port, unlabelled, with the engine gauges.
+            port.register_metrics(registry)
+        else:
+            net.register_metrics(registry)
     if monitor is not None:
         for link in scenario.links:
             key = (link.src, link.dst)
             _wire_link_monitor(
                 monitor,
-                link.label,
+                labels[key],
                 builds[key],
-                scenario.node(link.src).buffer_size,
+                nodes[link.src].buffer_size,
                 link.rate,
             )
         for routed in scenario.flows:
             if routed.spec.conformant:
                 route_labels = tuple(
-                    f"{src}->{dst}"
-                    for src, dst in zip(routed.route, routed.route[1:])
+                    labels[hop] for hop in zip(routed.route, routed.route[1:])
                 )
                 monitor.watch_flow(
                     routed.spec.flow_id, shaped=True, route=route_labels
@@ -501,14 +366,16 @@ def _run_network(
                 for routed in scenario.flows
                 if key in hop_sigmas[routed.spec.flow_id]
             )
-            _wire_link_timeline(timeline, link.label, builds[key], crossing)
+            _wire_link_timeline(timeline, labels[key], builds[key], crossing)
+        if single:
+            timeline.probe("backlog_packets", lambda: float(port.backlog_packets))
 
     seed_seq = np.random.SeedSequence(scenario.seed)
     child_seqs = seed_seq.spawn(len(scenario.flows))
     for routed, child in zip(scenario.flows, child_seqs):
         flow = routed.spec
         rng = np.random.default_rng(child)
-        destination = net.entry(flow.flow_id)
+        destination = net.links[routed.route[0], routed.route[1]]
         if flow.conformant:
             destination = LeakyBucketShaper(
                 sim, flow.bucket, flow.token_rate, destination

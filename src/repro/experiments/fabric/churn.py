@@ -329,7 +329,7 @@ class FlowChurnProcess:
                         (lambda manager=manager, fid=flow_id: manager.threshold(fid)),
                     )
 
-        destination = self.network.entry(flow_id)
+        destination = self.network.port(route[0], route[1])
         if template.conformant:
             destination = LeakyBucketShaper(
                 self.sim, template.bucket, template.token_rate, destination

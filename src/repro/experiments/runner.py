@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
+from repro.experiments.fabric.build import _simulate
+from repro.experiments.fabric.scenario import NetworkScenario
 from repro.experiments.schemes import DEFAULT_HEADROOM, Scheme
 from repro.experiments.workloads import LINK_RATE, PACKET_SIZE
 from repro.metrics.collector import FlowStats, StatsCollector
@@ -131,9 +133,6 @@ def run_scenario(
             the run's analytic bounds and finalized by the fabric (read
             ``monitor.last_report`` afterwards).
     """
-    # Imported lazily: the fabric imports ScenarioResult from this module.
-    from repro.experiments.fabric import NetworkScenario, run_fabric
-
     scenario = NetworkScenario.single_node(
         flows,
         scheme,
@@ -148,9 +147,34 @@ def run_scenario(
         delay_histograms=delay_histograms,
         max_events=max_events,
     )
-    return run_fabric(
-        scenario, sink=sink, registry=registry, timeline=timeline, monitor=monitor
-    ).scenario_result
+    # The fabric's one run path, minus the delivery sink: a
+    # ScenarioResult has no end-to-end fields, and the lone port
+    # recycles its packets instead of forwarding them.
+    run = _simulate(
+        scenario, sink=sink, registry=registry, timeline=timeline,
+        monitor=monitor, deliver=False,
+    )
+    (link,) = run.links.values()
+    flow_stats = dict(link.collector.flows)
+    # Flows that never got a packet through still deserve an entry.
+    for flow in flows:
+        flow_stats.setdefault(flow.flow_id, FlowStats())
+    return ScenarioResult(
+        scheme=scenario.nodes[0].scheme,
+        buffer_size=link.buffer_size,
+        link_rate=link.rate,
+        sim_time=scenario.sim_time,
+        warmup=link.collector.warmup,
+        seed=scenario.seed,
+        flow_stats=flow_stats,
+        thresholds=link.thresholds,
+        queue_rates=link.queue_rates,
+        queue_buffers=link.queue_buffers,
+        events_processed=run.events_processed,
+        collector=link.collector,
+        cancelled_pending=run.cancelled_pending,
+        compactions=run.compactions,
+    )
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,6 @@ class OnOffSource:
         packet_size: bytes per packet.
         start: time of the first burst decision.
         until: stop emitting at this time (None = never stop).
-
-    Block-drawn on-off streams live in :mod:`repro.traffic.batched`.
     """
 
     def __init__(

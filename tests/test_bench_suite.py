@@ -44,7 +44,6 @@ class TestSuiteDefinition:
             "churn",
             "churn-reclaim",
             "timeline-sampled",
-            "batched-pipeline",
         }
 
     def test_quick_and_full_have_different_digests(self):

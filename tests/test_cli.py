@@ -365,7 +365,7 @@ class TestObsTimelineCommands:
         argv = ["obs", "timeline", "--hops", "1", "--no-churn", "--interval", "0.5"]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        # One hop, no churn: the single-port fast path, unlabelled series.
+        # One hop, no churn: a single port, unlabelled series.
         assert "timeline: 1-hop tandem" in out
         assert "occupancy" in out
         assert "backlog_packets" in out
@@ -421,3 +421,12 @@ class TestNetCommands:
         out = capsys.readouterr().out
         assert "buffer-limited" in out
         assert "unattributed" in out
+
+    def test_demo_one_link_without_churn_reports_delivery(self, capsys):
+        # One hop without churn is a single port: it runs the same path
+        # as any tandem, so the end-to-end section has a delivery record.
+        assert main(["net", "demo", "--hops", "1", "--no-churn"]) == 0
+        out = capsys.readouterr().out
+        assert "n0->n1" in out
+        assert "packets delivered" in out
+        assert "churn:" not in out

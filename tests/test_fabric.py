@@ -1,4 +1,4 @@
-"""Scenario fabric: dispatch, path equivalence, multi-hop guarantees."""
+"""Scenario fabric: one run path, entry-point equivalence, multi-hop guarantees."""
 
 import json
 
@@ -13,10 +13,10 @@ from repro.experiments.fabric import (
     RoutedFlow,
     run_fabric,
 )
-from repro.experiments.fabric.build import _run_network
 from repro.experiments.fabric.demo import TARGET_FLOW_ID, demo_tandem
+from repro.experiments.runner import run_scenario
 from repro.experiments.schemes import Scheme
-from repro.obs import RingSink
+from repro.obs import MetricsRegistry, RingSink
 from repro.traffic.profiles import FlowSpec
 from repro.units import kbytes, mbps, mbytes
 
@@ -80,21 +80,18 @@ def two_hop_scenario(recycle=True, seed=3, sim_time=4.0):
 
 
 class TestDispatch:
-    def test_single_node_takes_fast_path(self):
-        scenario = single_node_scenario()
-        assert scenario.is_single_port
-        result = run_fabric(scenario)
-        # The fast path is the historical runner: it produces the classic
-        # ScenarioResult and never builds a topology/delivery sink.
-        assert result.scenario_result is not None
-        assert result.delivery is None
+    """A single port is the one-link case of the one run path."""
 
-    def test_multi_hop_takes_network_path(self):
-        scenario = two_hop_scenario()
-        assert not scenario.is_single_port
-        result = run_fabric(scenario)
-        assert result.scenario_result is None
-        assert result.delivery is not None
+    def test_one_link_run_delivers_every_transmitted_packet(self):
+        scenario = single_node_scenario(sim_time=1.0)
+        assert scenario.is_single_port
+        registry = MetricsRegistry()
+        result = run_fabric(scenario, registry=registry)
+        # Single-port gauges stay unlabelled; the delivery sink is built
+        # like on any other topology.
+        transmitted = registry.snapshot()["port.transmitted_packets"]
+        assert transmitted > 0
+        assert sum(result.delivery.packets.values()) == transmitted
 
     def test_churn_forces_network_path(self):
         assert not demo_tandem(hops=1).is_single_port
@@ -107,17 +104,28 @@ class TestDispatch:
 
 
 class TestPathEquivalence:
-    """The fast path and the general path measure the same physics."""
+    """``run_scenario`` and ``run_fabric`` measure the same physics."""
+
+    @staticmethod
+    def _both(seed=7, sim_time=4.0):
+        scenario = single_node_scenario(seed=seed, sim_time=sim_time)
+        classic = run_scenario(
+            [routed.spec for routed in scenario.flows],
+            Scheme.FIFO_THRESHOLD,
+            BUF,
+            link_rate=LINK,
+            sim_time=sim_time,
+            seed=seed,
+        )
+        return classic, run_fabric(scenario)
 
     def test_single_node_counters_match_across_paths(self):
-        scenario = single_node_scenario()
-        fast = run_fabric(scenario)
-        general = _run_network(scenario)
-        fast_stats = fast.links["n0->n1"].flow_stats
-        general_stats = general.links["n0->n1"].flow_stats
-        assert set(fast_stats) == set(general_stats)
-        for flow_id in fast_stats:
-            a, b = fast_stats[flow_id], general_stats[flow_id]
+        classic, fabric = self._both()
+        assert classic.events_processed == fabric.events_processed
+        fabric_stats = fabric.links["n0->n1"].flow_stats
+        assert set(classic.flow_stats) == set(fabric_stats)
+        for flow_id, a in classic.flow_stats.items():
+            b = fabric_stats[flow_id]
             assert a.offered_packets == b.offered_packets
             assert a.offered_bytes == b.offered_bytes
             assert a.dropped_packets == b.dropped_packets
@@ -125,12 +133,8 @@ class TestPathEquivalence:
             assert a.departed_bytes == b.departed_bytes
 
     def test_single_node_thresholds_match_across_paths(self):
-        # One hop means no burst inflation: the general path must size
-        # the same thresholds the classic pipeline did.
-        scenario = single_node_scenario()
-        fast = run_fabric(scenario)
-        general = _run_network(scenario)
-        assert fast.links["n0->n1"].thresholds == general.links["n0->n1"].thresholds
+        classic, fabric = self._both()
+        assert classic.thresholds == fabric.links["n0->n1"].thresholds
 
 
 class TestPacketRecycling:

@@ -173,8 +173,8 @@ class TestTraceSource:
 class TestRngBatching:
     """The source draws one scalar per burst and per gap from ``rng``.
 
-    Block-drawn on-off streams live in :mod:`repro.traffic.batched`
-    (``tests/test_batched.py``).
+    That per-burst draw order is what the equivalence goldens pin
+    (``tests/test_equivalence.py``); there is no block-drawn mode.
     """
 
     @staticmethod
